@@ -10,7 +10,6 @@ propagation, run between two quasigroups, decides isotopy.
 from __future__ import annotations
 
 import functools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +98,12 @@ def _propagate_candidate(
     return Isotopy(parts)
 
 
+def _inverse_sections(q: Quasigroup, target: tuple[int, ...]) -> list[Perm]:
+    """Inverses of the n sections of q through the argument part of `target`."""
+    b = target[1:]
+    return [q.section(i, b[: i - 1] + b[i:]).inverse() for i in range(1, q.arity + 1)]
+
+
 def propagate(q: Quasigroup, target: tuple[int, ...], theta0: Perm) -> Isotopy | None:
     """Candidate autotopy mapping the zero-anchor code tuple onto `target`.
 
@@ -115,29 +120,23 @@ def propagate(q: Quasigroup, target: tuple[int, ...], theta0: Perm) -> Isotopy |
     if theta0.images[q(*((0,) * n))] != b0:
         raise ValueError("theta0 is inconsistent with the target's value coordinate")
     zero_secs = [q.zero_section(i) for i in range(1, n + 1)]
-    inv_secs = [q.section(i, b[: i - 1] + b[i:]).inverse() for i in range(1, n + 1)]
-    return _propagate_candidate(q, q, zero_secs, inv_secs, theta0)
+    return _propagate_candidate(q, q, zero_secs, _inverse_sections(q, target), theta0)
 
 
 def _search(
-    source: Quasigroup,
-    constraint: Quasigroup,
-    *,
-    find_all: bool,
-    workers: int = 1,
+    source: Quasigroup, constraint: Quasigroup, *, find_all: bool
 ) -> tuple[list[Isotopy], set[tuple[int, ...]]]:
     """Sweep all (target, theta_0) candidates; return hits and their targets.
 
     Hits are isotopies with theta_0 * constraint = source composed with the
     argument permutations; for source == constraint these are the autotopies.
-    With find_all=False the sweep stops at the first hit (sequentially).
+    With find_all=False the sweep stops at the first hit.
     """
     n = source.arity
     if constraint.arity != n:
         raise ArityError("arity mismatch")
     zero_secs = [constraint.zero_section(i) for i in range(1, n + 1)]
     c0 = constraint(*((0,) * n))
-    targets = list(source.code_tuples())
 
     # Probe cells (x_1, x_2, 0, ..., 0): the two-argument face through the
     # anchor rejects almost every wrong candidate before the full scan.
@@ -146,51 +145,35 @@ def _search(
         if n >= 3 else None
     probe_cells = [(x1, x2) for x1 in range(1, 4) for x2 in range(1, 4)]
 
-    def scan(chunk: list[tuple[int, ...]]) -> tuple[list[Isotopy], set[tuple[int, ...]]]:
-        hits: list[Isotopy] = []
-        hit_targets: set[tuple[int, ...]] = set()
-        for target in chunk:
-            b0, b = target[0], target[1:]
-            inv_secs = [
-                source.section(i, b[: i - 1] + b[i:]).inverse() for i in range(1, n + 1)
-            ]
-            probe = None
-            if n >= 3:
-                tail = 0
-                for j in range(2, n):
-                    tail = tail * 4 + int(b[j])
-
-                def probe(parts, _tail=tail):
-                    im0 = parts[0].images
-                    im1 = parts[1].images
-                    im2 = parts[2].images
-                    for x1, x2 in probe_cells:
-                        flat = ((im1[x1] * 4 + im2[x2]) * 4 ** (n - 2)) + _tail
-                        if im0[con_face[x1, x2]] != src_flat[flat]:
-                            return False
-                    return True
-
-            for theta0 in PERMS_FIXING[c0][b0]:
-                found = _propagate_candidate(
-                    source, constraint, zero_secs, inv_secs, theta0, probe)
-                if found is not None:
-                    hits.append(found)
-                    hit_targets.add(target)
-                    if not find_all:
-                        return hits, hit_targets
-        return hits, hit_targets
-
-    if not find_all or workers <= 1:
-        return scan(targets)
-
-    chunk_size = max(1, len(targets) // (workers * 4))
-    chunks = [targets[k: k + chunk_size] for k in range(0, len(targets), chunk_size)]
     hits: list[Isotopy] = []
     hit_targets: set[tuple[int, ...]] = set()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for part_hits, part_targets in pool.map(scan, chunks):
-            hits.extend(part_hits)
-            hit_targets |= part_targets
+    for target in source.code_tuples():
+        b0, b = target[0], target[1:]
+        inv_secs = _inverse_sections(source, target)
+        probe = None
+        if n >= 3:
+            tail = 0
+            for j in range(2, n):
+                tail = tail * 4 + int(b[j])
+
+            def probe(parts, _tail=tail):
+                im0 = parts[0].images
+                im1 = parts[1].images
+                im2 = parts[2].images
+                for x1, x2 in probe_cells:
+                    flat = ((im1[x1] * 4 + im2[x2]) * 4 ** (n - 2)) + _tail
+                    if im0[con_face[x1, x2]] != src_flat[flat]:
+                        return False
+                return True
+
+        for theta0 in PERMS_FIXING[c0][b0]:
+            found = _propagate_candidate(
+                source, constraint, zero_secs, inv_secs, theta0, probe)
+            if found is not None:
+                hits.append(found)
+                hit_targets.add(target)
+                if not find_all:
+                    return hits, hit_targets
     return hits, hit_targets
 
 
@@ -201,50 +184,52 @@ def _check_cap(q: Quasigroup, cap: int) -> None:
 
 
 @functools.lru_cache(maxsize=32)
-def _sweep(q: Quasigroup, workers: int = 1) -> tuple[tuple[Isotopy, ...], frozenset]:
-    elements, orbit = _search(q, q, find_all=True, workers=workers)
-    elements.sort(key=Isotopy.key)
+def _sweep(q: Quasigroup) -> tuple[tuple[Isotopy, ...], frozenset]:
+    elements, orbit = _search(q, q, find_all=True)
     return tuple(elements), frozenset(orbit)
 
 
-def autotopy_group(
-    q: Quasigroup,
-    *,
-    cap: int = DEFAULT_CAP,
-    materialize_limit: int = MATERIALIZE_LIMIT,
-    workers: int = 1,
-) -> AutotopyGroup:
+def _group(elements) -> AutotopyGroup:
+    """Group record of a closed element set: lexicographic elements, greedy
+    generators, elements kept when the order is within MATERIALIZE_LIMIT."""
+    ordered = tuple(sorted(elements, key=Isotopy.key))
+    gens = tuple(greedy_generators(ordered))
+    keep = ordered if len(ordered) <= MATERIALIZE_LIMIT else None
+    return AutotopyGroup(order=len(ordered), generators=gens, elements=keep)
+
+
+def autotopy_group(q: Quasigroup, *, cap: int = DEFAULT_CAP) -> AutotopyGroup:
     """The exact autotopy group, by exhausting all 6 * 4^n candidates.
 
-    Elements are kept when the order stays within `materialize_limit`;
-    generators come from a greedy lexicographic sieve and are reproducible.
+    Generators come from a greedy lexicographic sieve and are reproducible.
     """
     _check_cap(q, cap)
-    elements, _ = _sweep(q, workers)
-    gens = tuple(greedy_generators(elements))
-    keep = elements if len(elements) <= materialize_limit else None
-    return AutotopyGroup(order=len(elements), generators=gens, elements=keep)
+    elements, _ = _sweep(q)
+    return _group(elements)
 
 
-def zero_orbit(q: Quasigroup, *, cap: int = DEFAULT_CAP, workers: int = 1) -> frozenset:
+def zero_orbit(q: Quasigroup, *, cap: int = DEFAULT_CAP) -> frozenset:
     """Orbit of the zero-anchor code tuple under the autotopy group."""
     _check_cap(q, cap)
-    _, orbit = _sweep(q, workers)
+    _, orbit = _sweep(q)
     return orbit
 
 
-def is_transitive(q: Quasigroup, *, cap: int = DEFAULT_CAP, workers: int = 1) -> bool:
+def is_transitive(q: Quasigroup, *, cap: int = DEFAULT_CAP) -> bool:
     """True iff the autotopy group acts transitively on the code."""
-    return len(zero_orbit(q, cap=cap, workers=workers)) == ORDER**q.arity
+    return len(zero_orbit(q, cap=cap)) == ORDER**q.arity
 
 
 def stabilizer(q: Quasigroup, *, cap: int = DEFAULT_CAP) -> StabilizerWitness:
     """The stabilizer of the zero-anchor code tuple, by direct propagation."""
     _check_cap(q, cap)
     anchor = zero_anchor(q)
+    zero_secs = [q.zero_section(i) for i in range(1, q.arity + 1)]
+    # The anchor's argument part is all zeros: its sections are the zero sections.
+    inv_secs = [z.inverse() for z in zero_secs]
     members = []
     for theta0 in PERMS_FIXING[anchor[0]][anchor[0]]:
-        found = propagate(q, anchor, theta0)
+        found = _propagate_candidate(q, q, zero_secs, inv_secs, theta0)
         if found is not None:
             members.append(found)
     members.sort(key=Isotopy.key)
@@ -347,7 +332,4 @@ def atp_join(atp_inner: AutotopyGroup, atp_outer: AutotopyGroup, m: int) -> Auto
     for pi in atp_inner.elements:
         for tau in by_slot1.get(pi[0], ()):
             joined.append(Isotopy((tau[0],) + pi.parts[1:] + tau.parts[2:]))
-    joined.sort(key=Isotopy.key)
-    gens = tuple(greedy_generators(joined))
-    keep = tuple(joined) if len(joined) <= MATERIALIZE_LIMIT else None
-    return AutotopyGroup(order=len(joined), generators=gens, elements=keep)
+    return _group(joined)

@@ -12,6 +12,7 @@ import sys
 from collections import Counter
 
 from .core import (
+    ArityError,
     CapError,
     FormatError,
     Isotopy,
@@ -39,6 +40,17 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); keep 2 for Latin
         raise UsageError(message)
+
+
+# Errors reported as "error: ..." on stderr, with their exit codes.
+_EXIT_CODES = {
+    UsageError: EXIT_FORMAT,
+    OSError: EXIT_FORMAT,
+    FormatError: EXIT_FORMAT,
+    ArityError: EXIT_FORMAT,
+    LatinError: EXIT_LATIN,
+    CapError: EXIT_CAP,
+}
 
 
 def _perm_str(p) -> str:
@@ -83,8 +95,8 @@ def _bound_checks(q: Quasigroup, order: int, linear: bool) -> dict:
     return checks
 
 
-def _build_report(q: Quasigroup, cap: int, workers: int) -> dict:
-    group = atp.autotopy_group(q, cap=cap, workers=workers)
+def _build_report(q: Quasigroup, cap: int) -> dict:
+    group = atp.autotopy_group(q, cap=cap)
     profile = semilinear_profile(q)
     linear = profile.is_linear
     reducible = q.arity >= 3 and dec.find_split(q) is not None
@@ -96,7 +108,7 @@ def _build_report(q: Quasigroup, cap: int, workers: int) -> dict:
         "reducible": reducible,
         "atp_order": group.order,
         "atp_generators": [_isotopy_strs(g) for g in group.generators],
-        "transitive": atp.is_transitive(q, cap=cap, workers=workers),
+        "transitive": atp.is_transitive(q, cap=cap),
         "bound_checks": _bound_checks(q, group.order, linear),
         "tree": None,
         "stats": None,
@@ -128,14 +140,14 @@ def _print_report(report: dict, as_json: bool, out) -> None:
 
 def _cmd_analyze(args, out) -> int:
     q = _read_quasigroup(args.file)
-    report = _build_report(q, args.max_arity, args.threads)
+    report = _build_report(q, args.max_arity)
     _print_report(report, args.json, out)
     return EXIT_OK
 
 
 def _cmd_atp(args, out) -> int:
     q = _read_quasigroup(args.file)
-    group = atp.autotopy_group(q, cap=args.max_arity, workers=args.threads)
+    group = atp.autotopy_group(q, cap=args.max_arity)
     print(f"order {group.order}", file=out)
     if args.generators or args.elements:
         for g in group.generators:
@@ -194,9 +206,7 @@ def _generate(family: str, n: int | None, seed: int | None):
 def _cmd_gen(args, out) -> int:
     try:
         q, tree = _generate(args.family, args.n, args.seed)
-    except (ValueError, CapError) as exc:
-        if isinstance(exc, CapError):
-            raise
+    except ValueError as exc:
         raise UsageError(str(exc))
     text = qg4_text(q)
     if args.output:
@@ -214,7 +224,7 @@ def _cmd_gen(args, out) -> int:
 
 def _cmd_verify(args, out) -> int:
     q = _read_quasigroup(args.file)
-    group = atp.autotopy_group(q, cap=args.max_arity, workers=args.threads)
+    group = atp.autotopy_group(q, cap=args.max_arity)
     linear = is_linear(q)
     checks = _bound_checks(q, group.order, linear)
     failures = []
@@ -271,7 +281,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-arity", type=int, default=atp.DEFAULT_CAP,
                    help="brute-force arity cap (default %(default)s)")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker count for the candidate sweep")
+                   help="accepted and ignored; the sweep is sequential")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,21 +344,9 @@ def run(argv: list[str], out=None) -> int:
             print(f"warning: arity cap raised to {args.max_arity}; "
                   "the sweep grows as 16^n", file=sys.stderr)
         return args.func(args, out)
-    except UsageError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except LatinError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LATIN
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except CapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 def main() -> None:

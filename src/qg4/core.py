@@ -63,6 +63,9 @@ class Perm:
         cls._registry[key] = self
         return self
 
+    def __reduce__(self):
+        return (Perm, (self.images,))  # unpickles to the interned instance
+
     def __call__(self, x: int) -> int:
         return self.images[x]
 
@@ -297,6 +300,10 @@ class Quasigroup:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):
+        # Rebuild on load: the hash of bytes is salted per process.
+        return (Quasigroup, (self.table,))
 
     def __repr__(self) -> str:
         if self.arity <= 2:

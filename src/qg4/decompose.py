@@ -853,7 +853,7 @@ def doc_to_tree(doc) -> Tree:
     if not isinstance(doc, dict):
         raise FormatError("tree document entries must be objects")
     if "var" in doc:
-        if set(doc) != {"var"} or not isinstance(doc["var"], int):
+        if set(doc) != {"var"} or type(doc["var"]) is not int:  # bool is an int
             raise FormatError("a leaf is exactly {\"var\": <int>}")
         return Leaf(doc["var"])
     if set(doc) != {"table", "children"}:

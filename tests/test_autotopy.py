@@ -114,14 +114,6 @@ class TestGroupOrders:
             for b in elements:
                 assert a * b in members
 
-    def test_workers_equivalent(self):
-        q = linear(3)
-        serial = autotopy_group(q, workers=1)
-        threaded = autotopy_group(q, workers=3)
-        assert serial.order == threaded.order
-        assert serial.elements == threaded.elements
-        assert serial.generators == threaded.generators
-
 
 class TestOrbitStabilizer:
     def test_product_identity(self, base_tables):

@@ -215,3 +215,37 @@ class TestExitCodes:
     def test_bad_usage(self):
         code, _ = invoke(["frobnicate"])
         assert code == EXIT_FORMAT
+
+    def assert_reported(self, argv, capsys):
+        code, _ = invoke(argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_FORMAT
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_directory_as_input(self, tmp_path, capsys):
+        self.assert_reported(["analyze", str(tmp_path)], capsys)
+
+    def test_directory_as_output(self, tmp_path, capsys):
+        self.assert_reported(["gen", "linear", "-n", "3", "-o", str(tmp_path)], capsys)
+
+    def test_decompose_unary(self, tmp_path, capsys):
+        path = tmp_path / "u.qg4"
+        path.write_text("qg4 1\n0123\n")
+        self.assert_reported(["decompose", str(path)], capsys)
+
+    def test_isotopic_arity_mismatch(self, tmp_path, z4_file, capsys):
+        path = tmp_path / "l3.qg4"
+        path.write_text(qg4_text(linear(3)))
+        self.assert_reported(["isotopic", z4_file, str(path)], capsys)
+
+
+class TestThreadsFlag:
+    """--threads is accepted and ignored: the sweep is sequential."""
+
+    def test_output_unchanged(self, tmp_path):
+        path = tmp_path / "l3.qg4"
+        path.write_text(qg4_text(linear(3)))
+        for argv in (["atp", str(path), "--generators"], ["analyze", str(path), "--json"]):
+            code, out = invoke(argv + ["--threads", "3"])
+            assert (code, out) == invoke(argv)
+            assert code == EXIT_OK

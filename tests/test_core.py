@@ -1,5 +1,9 @@
 import itertools
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -91,6 +95,36 @@ class TestIsotopy:
         assert theta.apply((0, 3, 2)) == (1, 3, 3)
         with pytest.raises(ArityError):
             theta.apply((0, 0))
+
+
+class TestPickle:
+    def test_perms_unpickle_to_the_interned_instance(self):
+        for p in PERMS:
+            assert pickle.loads(pickle.dumps(p)) is p
+
+    def test_isotopy_round_trip(self):
+        theta = Isotopy.identity(2)
+        back = pickle.loads(pickle.dumps(theta))
+        assert back == theta and hash(back) == hash(theta)
+        assert all(a is b for a, b in zip(back.parts, theta.parts))
+
+    def test_quasigroup_hash_survives_a_new_hash_seed(self):
+        # bytes hashes are salted per process, so dump and load under two seeds
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+        def python(code, seed, data=None):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            return subprocess.run([sys.executable, "-c", code], input=data, env=env,
+                                  capture_output=True, check=True).stdout
+
+        data = python("import pickle, sys, qg4\n"
+                      "sys.stdout.buffer.write(pickle.dumps(qg4.linear(3)))", 1)
+        out = python("import pickle, sys, qg4\n"
+                     "q = pickle.loads(sys.stdin.buffer.read())\n"
+                     "fresh = qg4.linear(3)\n"
+                     "print(q == fresh, hash(q) == hash(fresh), q in {fresh},\n"
+                     "      q.table.flags.writeable)", 2, data)
+        assert out.split() == [b"True", b"True", b"True", b"False"]
 
 
 class TestParse:

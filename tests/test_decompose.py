@@ -461,6 +461,8 @@ class TestSerialization:
                      '{"table": "0123", "children": [{"var": 1}]}',
                      '{"table": "0123123023013012", "children": '
                      '[{"var": 1}, {"var": 3}]}',      # leaf vars not 1..n
+                     '{"table": "0123123023013012", "children": '
+                     '[{"var": true}, {"var": 2}]}',   # bool is an int, not a var
                      'not json'):
             with pytest.raises(FormatError):
                 loads_tree(text)
