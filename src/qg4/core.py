@@ -167,6 +167,9 @@ class Isotopy:
             raise ArityError("an isotopy needs at least two permutations")
         self._hash = hash(tuple(p.index for p in self.parts))
 
+    def __reduce__(self):
+        return (Isotopy, (self.parts,))  # __slots__ alone pickles only from protocol 2
+
     @property
     def arity(self) -> int:
         return len(self.parts) - 1

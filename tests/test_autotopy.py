@@ -1,3 +1,5 @@
+import io
+import logging
 import random
 
 import pytest
@@ -9,6 +11,7 @@ from qg4 import (
     PERMS,
     Isotopy,
     Perm,
+    all_binary_quasigroups,
     are_isotopic,
     atp_join,
     autotopy_group,
@@ -24,8 +27,10 @@ from qg4 import (
     zero_anchor,
     zero_orbit,
 )
+from qg4 import autotopy, cli, qg4_text
 from qg4.autotopy import greedy_generators
 from qg4.construct import random_semilinear_composition
+from qg4.core import PERMS_FIXING
 
 from conftest import random_isotopy
 
@@ -246,5 +251,161 @@ class TestGreedyGenerators:
 
     def test_rejects_non_closed_input(self):
         xi = P((0, 2), (1, 3))
-        with pytest.raises(AssertionError):
-            greedy_generators([Isotopy((xi, xi, IDENTITY))])
+        identity = Isotopy.identity(2)
+        cycle = Isotopy((IDENTITY, P((0, 1, 2, 3)), IDENTITY))
+        for elements in ([Isotopy((xi, xi, IDENTITY))],  # no identity
+                         [identity, cycle],  # the closure outgrows the set
+                         [identity, identity]):  # a repeated element
+            with pytest.raises(AssertionError):
+                greedy_generators(elements)
+
+
+class TestContains:
+    def test_every_element_is_a_member(self):
+        g = autotopy_group(shifted_linear(3))
+        assert all(theta in g for theta in g.elements)
+
+    def test_random_non_members(self):
+        q = shifted_linear(3)
+        g = autotopy_group(q)
+        rng = random.Random(11)
+        outside = [t for t in (random_isotopy(3, rng) for _ in range(300))
+                   if not is_autotopy(q, t)]
+        assert len(outside) > 200
+        assert not any(t in g for t in outside)
+
+    def test_other_arity_is_not_a_member(self):
+        g = autotopy_group(z4())
+        assert Isotopy.identity(2) in g
+        assert Isotopy.identity(3) not in g
+        assert Isotopy.identity(1) not in g
+
+    def test_unmaterialized_raises(self):
+        from qg4.autotopy import AutotopyGroup
+
+        g = autotopy_group(z4())
+        with pytest.raises(ValueError):
+            Isotopy.identity(2) in AutotopyGroup(g.order, g.generators, None)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the batched sweep against single-candidate routes kept in tests
+# ---------------------------------------------------------------------------
+
+def scalar_sweep(q):
+    """Every (target, theta_0) candidate through the public `propagate`."""
+    c0 = q(*(0,) * q.arity)
+    hits = []
+    for target in q.code_tuples():
+        for theta0 in PERMS_FIXING[c0][target[0]]:
+            found = propagate(q, target, theta0)
+            if found is not None:
+                hits.append(found)
+    return hits
+
+
+def scalar_greedy(elements):
+    """Greedy generators with Isotopy products and a set of known elements."""
+    ordered = sorted(elements, key=Isotopy.key)
+    known, gens = {Isotopy.identity(ordered[0].arity)}, []
+    for e in ordered:
+        if e not in known:
+            gens.append(e)
+            frontier = [x * e for x in known]
+            while frontier:
+                fresh = {x for x in frontier if x not in known}
+                known |= fresh
+                frontier = [x * g for x in fresh for g in gens]
+    assert len(known) == len(ordered)
+    return gens
+
+
+def scalar_isotopy(q1, q2):
+    """The first candidate theta, in sweep order, with q1.isotope(theta) == q2."""
+    n = q1.arity
+    zero_secs = [q2.zero_section(i) for i in range(1, n + 1)]
+    c0 = q2(*(0,) * n)
+    for target in q1.code_tuples():
+        b = target[1:]
+        inv = [q1.section(i, b[: i - 1] + b[i:]).inverse() for i in range(1, n + 1)]
+        for theta0 in PERMS_FIXING[c0][target[0]]:
+            theta = Isotopy([theta0] + [s * theta0 * z for s, z in zip(inv, zero_secs)])
+            if q1.isotope(theta) == q2:
+                return theta
+    return None
+
+
+def assert_matches_scalar(q):
+    hits = scalar_sweep(q)
+    g = autotopy_group(q)
+    assert g.order == len(hits)
+    assert list(g.elements) == sorted(hits, key=Isotopy.key)
+    assert list(g.generators) == scalar_greedy(hits)
+    assert zero_orbit(q) == {h.apply(zero_anchor(q)) for h in hits}
+
+
+class TestBatchedMatchesScalar:
+    def test_all_binary_squares(self):
+        for q in all_binary_quasigroups():
+            assert_matches_scalar(q)
+
+    def test_random_compositions(self):
+        for k in range(30):
+            assert_matches_scalar(random_semilinear_composition(3 + k % 3, 1200 + k))
+
+    def test_first_isotopy_witness(self):
+        rng = random.Random(13)
+        found = 0
+        for k in range(100):
+            n = 2 + k % 3
+            q1 = random_semilinear_composition(n, 1400 + k)
+            if k % 2:
+                q2 = q1.isotope(random_isotopy(n, rng))
+            else:
+                q2 = random_semilinear_composition(n, 1600 + k).isotope(random_isotopy(n, rng))
+            witness = are_isotopic(q1, q2)
+            assert witness == scalar_isotopy(q1, q2), k
+            found += witness is not None
+        assert 50 <= found < 100
+
+    def test_check_blocks_over_leading_axes(self, monkeypatch):
+        # a check block spanning fewer axes than the table walks the leading ones
+        tables = [linear(4), random_semilinear_composition(5, 1800)]
+        expected = [autotopy._search(q, q, find_all=True) for q in tables]
+        monkeypatch.setattr(autotopy, "CHECK_AXES", 2)
+        for q, rows in zip(tables, expected):
+            assert (autotopy._search(q, q, find_all=True) == rows).all()
+            assert (autotopy._search(q, q.isotope(random_isotopy(q.arity, random.Random(1))),
+                                     find_all=False) is not None)
+
+
+class TestSearchLog:
+    def test_one_debug_record_per_sweep(self, caplog):
+        q = random_semilinear_composition(4, 1900)
+        autotopy._sweep.cache_clear()
+        with caplog.at_level(logging.DEBUG, logger="qg4"):
+            order = autotopy_group(q).order
+            assert is_transitive(q) is not None  # cached: no second sweep
+        (record,) = [r for r in caplog.records if r.name == "qg4"]
+        assert record.levelno == logging.DEBUG
+        arity, candidates, survivors, checks, hits = record.args
+        assert (arity, candidates, hits) == (4, 6 * 4**4, order)
+        assert candidates >= survivors == checks >= hits
+        assert "1536 candidates" in record.getMessage()
+
+    def test_isotopy_search_stops_at_the_first_hit(self, caplog):
+        q = linear(4)
+        with caplog.at_level(logging.DEBUG, logger="qg4"):
+            assert are_isotopic(q, q) is not None
+        (record,) = [r for r in caplog.records if r.name == "qg4"]
+        _, candidates, survivors, checks, hits = record.args
+        # the identity sits at the first target: the sweep ends with its six candidates
+        assert (candidates, hits) == (6, 1) and checks <= survivors
+
+    def test_default_level_prints_nothing(self, tmp_path, capsys):
+        path = tmp_path / "q.qg4"
+        path.write_text(qg4_text(random_semilinear_composition(3, 1901)))
+        out = io.StringIO()
+        assert cli.run(["atp", str(path), "--generators"], out=out) == 0
+        assert out.getvalue().startswith("order ")
+        assert capsys.readouterr() == ("", "")

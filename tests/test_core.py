@@ -98,15 +98,19 @@ class TestIsotopy:
 
 
 class TestPickle:
+    PROTOCOLS = range(pickle.HIGHEST_PROTOCOL + 1)
+
     def test_perms_unpickle_to_the_interned_instance(self):
-        for p in PERMS:
-            assert pickle.loads(pickle.dumps(p)) is p
+        for protocol in self.PROTOCOLS:
+            for p in PERMS:
+                assert pickle.loads(pickle.dumps(p, protocol)) is p
 
     def test_isotopy_round_trip(self):
-        theta = Isotopy.identity(2)
-        back = pickle.loads(pickle.dumps(theta))
-        assert back == theta and hash(back) == hash(theta)
-        assert all(a is b for a, b in zip(back.parts, theta.parts))
+        for protocol in self.PROTOCOLS:
+            for theta in (Isotopy.identity(2), Isotopy(PERMS[i] for i in (5, 23, 0, 11))):
+                back = pickle.loads(pickle.dumps(theta, protocol))
+                assert back == theta and hash(back) == hash(theta), protocol
+                assert all(a is b for a, b in zip(back.parts, theta.parts))
 
     def test_quasigroup_hash_survives_a_new_hash_seed(self):
         # bytes hashes are salted per process, so dump and load under two seeds
