@@ -1,13 +1,22 @@
-"""Exact autotopy groups via anchored propagation over the code.
+"""Exact autotopy groups by an orbit-stabilizer search over the code.
 
 A candidate (target code tuple, value permutation theta_0) forces at most one
-isotopy through the sections at the all-zero anchor and at the target.  The
-sweep holds all 6 * 4^n candidates as uint8 rows of permutation indices, in
-blocks of targets: one index-arithmetic pass builds a block's sections, a few
-fixed probe cells reject most wrong candidates, and every survivor is checked
-on the whole table, so exactly the autotopies remain.  The same search between
-two quasigroups decides isotopy at its first hit.  Closure and greedy
-generators run on the same rows, keyed as base-24 integers.
+isotopy through the sections at the all-zero anchor and at the target, so an
+autotopy is named by its target and the rank of theta_0 among the six
+candidates there: a dense index of 6 * 4^n entries.  Candidates are uint8 rows
+of permutation indices, built for a block of targets by one index-arithmetic
+pass; two rounds of fixed probe cells reject most wrong ones, and a survivor
+is a hit only once it holds on the whole table.
+
+|Atp(f)| = |orbit of the anchor| * |stabilizer|.  The search verifies the
+candidates at the anchor first, so the subgroup H it grows always holds the
+stabilizer, and every autotopy whose target lies in H's orbit of the anchor is
+in H already.  The other targets are swept in order and those in H's orbit are
+skipped; each hit outside H becomes a generator, and H grows by its new right
+cosets, with membership a bool array over the dense index.  The same
+candidates between two quasigroups decide isotopy at the first hit.  Greedy
+generators grow their subgroups the same way over the key-sorted rows,
+indexed by position.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ from __future__ import annotations
 import bisect
 import functools
 import logging
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,20 +47,52 @@ DEFAULT_CAP = 6
 MATERIALIZE_LIMIT = 2**20
 TARGET_BLOCK = 1024  # targets per candidate block, six candidates each
 PROBE_CELLS = 16
+PROBE_CELLS_2 = 48  # a second probe round, on the survivors of the first
 CHECK_AXES = 8  # a full-table check block spans 4^8 = 2^16 cells of the trailing axes
 
 _log = logging.getLogger("qg4")
 
 # The 24 permutations as arrays, indexed by Perm.index.
 _IMG = np.array([p.images for p in PERMS], dtype=np.uint8)
+_ZERO_IMG = _IMG[:, 0].astype(np.int32)
 _MUL_A = np.array(_MUL, dtype=np.uint8)
 _INV_A = np.array(_INV, dtype=np.uint8)
 _FIXING = np.array([[[p.index for p in w] for w in v] for v in PERMS_FIXING], np.uint8)
+# _RANK[v, p]: the rank of p among the six permutations sending v where p does.
+_RANK = np.zeros((ORDER, len(PERMS)), dtype=np.int32)
+_RANK[np.arange(ORDER)[:, None, None], _FIXING] = np.arange(6)
 _ROW_W = np.array([64, 16, 4, 1])  # an image row read as a base-4 number
 _ROW_PERM = np.zeros(256, dtype=np.uint8)
 _ROW_PERM[_IMG @ _ROW_W] = np.arange(len(PERMS))
 _WEIGHTS = 4 ** np.arange(MAX_ARITY - 1, -1, -1, dtype=np.int32)  # flat-index weights
 _KEY_W = 24 ** np.arange(MAX_ARITY, -1, -1, dtype=np.int64)  # base-24 row keys
+
+
+class _Elements(Sequence):
+    """Key-sorted group elements held as rows of permutation indices; the
+    Isotopy objects are built when the elements are first read."""
+
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
+
+    @functools.cached_property
+    def _items(self) -> tuple[Isotopy, ...]:
+        return tuple(_isotopies(self.rows))
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        return self._items[i]
+
+    def __eq__(self, other: object) -> bool:
+        return self._items == (other._items if isinstance(other, _Elements) else other)
+
+    def __hash__(self) -> int:
+        return hash(self._items)
+
+    def __repr__(self) -> str:
+        return repr(self._items)
 
 
 @dataclass(frozen=True)
@@ -59,7 +101,7 @@ class AutotopyGroup:
 
     order: int
     generators: tuple[Isotopy, ...]
-    elements: tuple[Isotopy, ...] | None
+    elements: Sequence[Isotopy] | None
 
     def __contains__(self, theta: Isotopy) -> bool:
         if self.elements is None:
@@ -145,68 +187,144 @@ def _sections(flat: np.ndarray, n: int, cells: np.ndarray) -> np.ndarray:
     return out
 
 
-def _verify(src: np.ndarray, con: np.ndarray, n: int, rows: np.ndarray) -> np.ndarray:
-    """Mask of the candidate rows that hold on every cell of the table; the
-    leading axes outside one check block are walked one value at a time."""
-    head = max(0, n - CHECK_AXES)
-    moved = _IMG[rows[:, 1:]].astype(np.int32) * _WEIGHTS[-n:, None]  # (B, n, 4)
-    offsets = moved[:, head]
-    for i in range(head + 1, n):
-        offsets = (offsets[:, :, None] + moved[:, i, None, :]).reshape(len(rows), -1)
-    theta0, span = rows[:, :1].astype(np.int32) * ORDER, offsets.shape[1]
-    ok = np.ones(len(rows), dtype=bool)
-    for h in range(4**head):
-        flat = offsets
-        for i in range(head):  # the leading digits of slab h shift every offset
-            flat = flat + moved[:, i, None, h >> 2 * (head - 1 - i) & 3]
-        lhs = np.take(_IMG, theta0 + con[h * span:(h + 1) * span])
-        ok &= (np.take(src, flat) == lhs).all(axis=1)
-    return ok
+@functools.lru_cache(maxsize=None)
+def _probes(n: int) -> list[tuple[np.ndarray, list[np.ndarray]]]:
+    """The two probe rounds at arity n: the cells, and per axis each permutation's
+    flat-index term at each cell.  A cell is the SplitMix64 output for a counter,
+    cut to 2n bits.  Fibonacci hashing alone spreads cells along the flat index
+    but correlates their digits: 64 such cells at arity 5 passed candidates that
+    fail on an eighth of the table."""
+    cells = []
+    for k in range(1, PROBE_CELLS + PROBE_CELLS_2 + 1):
+        z = k * 0x9E3779B97F4A7C15 % 2**64
+        z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 % 2**64
+        z = (z ^ z >> 27) * 0x94D049BB133111EB % 2**64
+        cells.append((z ^ z >> 31) >> (64 - 2 * n))
+    return [(c, [_IMG[:, c // w % 4].astype(np.int32) * w for w in _WEIGHTS[-n:]])
+            for c in np.split(np.array(cells), [PROBE_CELLS])]
 
 
-def _search(source: Quasigroup, constraint: Quasigroup, *, find_all: bool) -> np.ndarray:
-    """Rows of the isotopies with theta_0 * constraint = source(theta_1 ., ...),
-    the autotopies when source == constraint, in sweep order: target flat index,
-    then theta_0 in lexicographic order.  find_all=False stops at the first."""
-    n = source.arity
-    if constraint.arity != n:
-        raise ArityError("arity mismatch")
-    src, con = source.table.ravel(), constraint.table.ravel()
-    con_zero = _sections(con, n, np.zeros(1, dtype=np.intp))[0]
-    # Probe cells spread over every axis by Fibonacci hashing; per axis, each
-    # permutation's flat-index term at each cell.
-    cells = np.array([(k * 0x9E3779B97F4A7C15 % 2**64) >> (64 - 2 * n)
-                      for k in range(1, PROBE_CELLS + 1)])
-    probe = [_IMG[:, cells // w % 4].astype(np.int32) * w for w in _WEIGHTS[-n:]]
-    probe_lhs = _IMG[:, con[cells]]
-    per_check = 4 ** max(0, CHECK_AXES - n)  # candidates per check block
-    candidates = survivors = checks = 0
-    hits = [np.empty((0, n + 1), dtype=np.uint8)]
-    lo, size = 0, TARGET_BLOCK if find_all else 1  # a first-hit search widens its blocks
-    while lo < src.size:
-        targets = np.arange(lo, min(lo + size, src.size))
-        lo, size = lo + size, min(2 * size, TARGET_BLOCK)
-        theta0 = _FIXING[con[0]][src[targets]]
+class _Candidates:
+    """The (target, theta_0) candidates of a search for the isotopies theta with
+    theta_0 * constraint = source(theta_1 ., ..., theta_n .), built as rows."""
+
+    def __init__(self, source: Quasigroup, constraint: Quasigroup):
+        n = self.n = source.arity
+        if constraint.arity != n:
+            raise ArityError("arity mismatch")
+        self.src, self.con = source.table.ravel(), constraint.table.ravel()
+        self.con_zero = _sections(self.con, n, np.zeros(1, dtype=np.intp))[0]
+        self.per_check = 4 ** max(0, CHECK_AXES - n)  # candidates per check block
+        self.rounds = [(terms, _IMG[:, self.con[cells]]) for cells, terms in _probes(n)]
+
+    def probed(self, targets: np.ndarray) -> np.ndarray:
+        """The candidate rows at `targets` that hold on every probe cell, in sweep
+        order: target flat index, then theta_0 in lexicographic order."""
+        n, src = self.n, self.src
+        theta0 = _FIXING[self.con[0]][src[targets]]
         rows = np.empty((len(targets), 6, n + 1), dtype=np.uint8)
         rows[:, :, 0] = theta0
         inv = _INV_A[_sections(src, n, targets)]
-        rows[:, :, 1:] = _MUL_A[_MUL_A[inv[:, None, :], theta0[:, :, None]], con_zero]
+        rows[:, :, 1:] = _MUL_A[_MUL_A[inv[:, None, :], theta0[:, :, None]], self.con_zero]
         rows = rows.reshape(-1, n + 1)
-        flat = sum(axis[rows[:, i]] for i, axis in enumerate(probe, 1))
-        rows = rows[(np.take(src, flat) == probe_lhs[rows[:, 0]]).all(axis=1)]
+        for terms, lhs in self.rounds:
+            flat = sum(axis[rows[:, i]] for i, axis in enumerate(terms, 1))
+            rows = rows[(np.take(src, flat) == lhs[rows[:, 0]]).all(axis=1)]
+        return rows
+
+    def verify(self, rows: np.ndarray) -> np.ndarray:
+        """Mask of the candidate rows that hold on every cell of the table; the
+        leading axes outside one check block are walked one value at a time."""
+        n, head = self.n, max(0, self.n - CHECK_AXES)
+        moved = _IMG[rows[:, 1:]].astype(np.int32) * _WEIGHTS[-n:, None]  # (B, n, 4)
+        offsets = moved[:, head]
+        for i in range(head + 1, n):  # the width is explicit: there may be no rows
+            offsets = offsets[:, :, None] + moved[:, i, None, :]
+            offsets = offsets.reshape(len(rows), 4 ** (i - head + 1))
+        theta0, span = rows[:, :1].astype(np.int32) * ORDER, offsets.shape[1]
+        ok = np.ones(len(rows), dtype=bool)
+        for h in range(4**head):
+            flat = offsets
+            for i in range(head):  # the leading digits of slab h shift every offset
+                flat = flat + moved[:, i, None, h >> 2 * (head - 1 - i) & 3]
+            lhs = np.take(_IMG, theta0 + self.con[h * span:(h + 1) * span])
+            ok &= (np.take(self.src, flat) == lhs).all(axis=1)
+        return ok
+
+
+def _targets(rows: np.ndarray) -> np.ndarray:
+    """Flat index of each row's image of the zero anchor's argument part."""
+    return _ZERO_IMG[rows[:, 1:]] @ _WEIGHTS[1 - rows.shape[1]:]
+
+
+def _blocks(n: int):
+    """Target blocks in sweep order: the anchor's target alone, then 64 targets,
+    doubling up to TARGET_BLOCK, so that early hits cost little."""
+    lo, size = 0, 1
+    while lo < 4**n:
+        yield np.arange(lo, min(lo + size, 4**n))
+        lo, size = lo + size, min(max(64, 2 * size), TARGET_BLOCK)
+
+
+def _autotopies(q: Quasigroup) -> np.ndarray:
+    """Rows of the autotopies of q in sweep order, by the orbit-stabilizer search."""
+    cand, n = _Candidates(q, q), q.arity
+    c0 = int(cand.con[0])
+
+    def index(rows):  # the dense index: 6 * target + the rank of theta_0 there
+        return 6 * _targets(rows) + _RANK[c0, rows[:, 0]]
+
+    member, orbit = np.zeros(6 * 4**n, dtype=bool), np.zeros(4**n, dtype=bool)
+    known, gens = np.zeros((1, n + 1), dtype=np.uint8), np.empty((0, n + 1), dtype=np.uint8)
+    member[index(known)] = True  # H starts as the identity
+    rejected = skipped = checks = hits = 0
+    for b, targets in enumerate(_blocks(n)):
+        inside = orbit[targets]
+        skipped, targets = skipped + 6 * inside.sum(), targets[~inside]
+        rows = cand.probed(targets)
+        rejected += 6 * len(targets) - len(rows)
+        # Check chunks double, and start again at one after each new generator.  The
+        # anchor's candidates go in one chunk: the whole stabilizer is in H before
+        # the anchor counts as in H's orbit, or stabilizer elements would be skipped.
+        size = 1 if b else len(rows)
+        while len(rows):
+            outside = ~orbit[_targets(rows)]
+            skipped, rows = skipped + len(rows) - outside.sum(), rows[outside]
+            chunk, rows, size = rows[:size], rows[size:], min(2 * size, cand.per_check)
+            checks += len(chunk)
+            found = chunk[cand.verify(chunk)]
+            hits += len(found)
+            while len(found := found[~member[index(found)]]):  # the first hit outside H
+                gens = np.concatenate([gens, found[:1]])
+                grown = _extend(known, gens, index, member)
+                orbit[_targets(grown)] = True
+                known, size = np.concatenate([known, grown]), 1
+    _log.debug("sweep: arity %d, %d candidates, %d probe survivors, %d skipped in the orbit, "
+               "%d full-table checks, %d hits, %d generators, order %d", n, 6 * 4**n,
+               6 * 4**n - rejected, skipped, checks, hits, len(gens), len(known))
+    return known[np.argsort(index(known))]
+
+
+def _first_isotopy(q1: Quasigroup, q2: Quasigroup) -> np.ndarray:
+    """The first row theta, in sweep order, with theta_0 * q2 = q1(theta_1 ., ...),
+    or no row."""
+    cand, n = _Candidates(q1, q2), q1.arity
+    candidates = survivors = checks = 0
+    hit = np.empty((0, n + 1), dtype=np.uint8)
+    for targets in _blocks(n):
+        rows = cand.probed(targets)
         candidates, survivors = candidates + 6 * len(targets), survivors + len(rows)
-        for s in range(0, len(rows), per_check):
-            block = rows[s:s + per_check]
+        for s in range(0, len(rows), cand.per_check):
+            block = rows[s:s + cand.per_check]
             checks += len(block)
-            hits.append(block[_verify(src, con, n, block)])
-            if len(hits[-1]) and not find_all:
+            hit = block[cand.verify(block)][:1]
+            if len(hit):
                 break
-        if len(hits[-1]) and not find_all:
+        if len(hit):
             break
-    out = np.concatenate(hits)[: None if find_all else 1]
-    _log.debug("sweep: arity %d, %d candidates, %d probe survivors, "
-               "%d full-table checks, %d hits", n, candidates, survivors, checks, len(out))
-    return out
+    _log.debug("isotopy search: arity %d, %d candidates, %d probe survivors, "
+               "%d full-table checks, %d hits", n, candidates, survivors, checks, len(hit))
+    return hit
 
 
 def _check_cap(q: Quasigroup, cap: int) -> None:
@@ -217,7 +335,7 @@ def _check_cap(q: Quasigroup, cap: int) -> None:
 @functools.lru_cache(maxsize=32)
 def _sweep(q: Quasigroup) -> np.ndarray:
     """The autotopies of q as read-only rows, in sweep order."""
-    rows = _search(q, q, find_all=True)
+    rows = _autotopies(q)
     rows.setflags(write=False)
     return rows
 
@@ -227,12 +345,12 @@ def _group(rows: np.ndarray) -> AutotopyGroup:
     generators, elements kept when the order is within MATERIALIZE_LIMIT."""
     rows = rows[np.argsort(_keys(rows))]
     gens = tuple(greedy_generators(rows))
-    keep = tuple(_isotopies(rows)) if len(rows) <= MATERIALIZE_LIMIT else None
+    keep = _Elements(rows) if len(rows) <= MATERIALIZE_LIMIT else None
     return AutotopyGroup(order=len(rows), generators=gens, elements=keep)
 
 
 def autotopy_group(q: Quasigroup, *, cap: int = DEFAULT_CAP) -> AutotopyGroup:
-    """The exact autotopy group, by exhausting all 6 * 4^n candidates.
+    """The exact autotopy group, by the orbit-stabilizer search over the 6 * 4^n candidates.
 
     Generators come from a greedy lexicographic sieve and are reproducible.
     """
@@ -241,14 +359,16 @@ def autotopy_group(q: Quasigroup, *, cap: int = DEFAULT_CAP) -> AutotopyGroup:
 
 
 def _orbit(q: Quasigroup, cap: int) -> np.ndarray:
-    """Sorted keys of the zero-anchor orbit: its images under every autotopy."""
+    """Sorted flat indices of the zero-anchor orbit: its images under every autotopy."""
     _check_cap(q, cap)
-    return np.unique(_keys(_IMG[_sweep(q), np.array(zero_anchor(q))]))
+    return np.unique(_targets(_sweep(q)))
 
 
 def zero_orbit(q: Quasigroup, *, cap: int = DEFAULT_CAP) -> frozenset:
     """Orbit of the zero-anchor code tuple under the autotopy group."""
-    return frozenset(map(tuple, _rows(_orbit(q, cap), q.arity + 1).tolist()))
+    flat = _orbit(q, cap)
+    tuples = np.column_stack([q.table.ravel()[flat], flat[:, None] // _WEIGHTS[-q.arity:] % ORDER])
+    return frozenset(map(tuple, tuples.tolist()))
 
 
 def is_transitive(q: Quasigroup, *, cap: int = DEFAULT_CAP) -> bool:
@@ -282,21 +402,17 @@ def are_isotopic(q1: Quasigroup, q2: Quasigroup, *, cap: int = DEFAULT_CAP) -> I
     if q1.arity != q2.arity:
         raise ArityError("cannot compare quasigroups of different arity")
     _check_cap(q1, cap)
-    hits = _search(q1, q2, find_all=False)
+    hits = _first_isotopy(q1, q2)
     return _isotopies(hits)[0] if len(hits) else None
 
 
 # ---------------------------------------------------------------------------
-# Group machinery on rows of permutation indices, keyed as base-24 integers
+# Group machinery on rows of permutation indices
 # ---------------------------------------------------------------------------
 
 def _keys(rows: np.ndarray) -> np.ndarray:
     """Base-24 int64 key of each row; key order is Isotopy.key order."""
     return rows.astype(np.int64) @ _KEY_W[-rows.shape[1]:]
-
-
-def _rows(keys: np.ndarray, width: int) -> np.ndarray:
-    return (keys[:, None] // _KEY_W[-width:] % 24).astype(np.uint8)
 
 
 def _to_rows(isotopies) -> np.ndarray:
@@ -307,19 +423,21 @@ def _isotopies(rows: np.ndarray) -> list[Isotopy]:
     return [Isotopy(map(PERMS.__getitem__, r)) for r in rows.tolist()]
 
 
-def _close(gens: np.ndarray, known: np.ndarray, frontier: np.ndarray,
-           limit: int | None = None) -> np.ndarray:
-    """Sorted keys of the closure of `known` under right multiplication by gens,
-    where only the `frontier` part of `known` may have products outside it.  In
-    a finite group the positive words over the generators already form the group."""
-    width = gens.shape[1]
-    while len(frontier):
-        prods = _MUL_A[_rows(frontier, width)[:, None, :], gens]
-        frontier = np.setdiff1d(_keys(prods.reshape(-1, width)), known)
-        known = np.union1d(known, frontier)
-        if limit is not None and len(known) > limit:
-            raise CapError(f"closure exceeded {limit} elements")
-    return known
+def _extend(known: np.ndarray, gens: np.ndarray, index, member: np.ndarray) -> np.ndarray:
+    """The rows of the group generated by `known` and gens[-1] that lie outside
+    `known`, a group generated by gens[:-1]; marks them in `member`, a bool
+    array over index(rows).  The new elements fill right cosets known * r; a
+    BFS over the representatives r, from gens[-1] by right multiplication by
+    gens, reaches every coset (in a finite group positive words suffice)."""
+    grown, todo = [], gens[-1:]
+    while len(todo):
+        reps = []
+        while len(todo := todo[~member[index(todo)]]):  # the first product in a new coset
+            reps.append(todo[0])
+            grown.append(_MUL_A[known, todo[0]])
+            member[index(grown[-1])] = True
+        todo = _MUL_A[np.array(reps)[:, None, :], gens].reshape(-1, gens.shape[1]) if reps else []
+    return np.concatenate(grown)
 
 
 def close_isotopies(gens, *, limit: int | None = None) -> set[Isotopy]:
@@ -327,29 +445,44 @@ def close_isotopies(gens, *, limit: int | None = None) -> set[Isotopy]:
     rows = _to_rows(gens)
     if not len(rows):
         return set()
-    identity = np.zeros(1, dtype=np.int64)
-    return set(_isotopies(_rows(_close(rows, identity, identity, limit), rows.shape[1])))
+    known = {(0,) * rows.shape[1]}  # the identity
+    frontier = list(known)
+    while frontier:
+        prods = _MUL_A[np.array(frontier, dtype=np.uint8)[:, None, :], rows]
+        frontier = list(set(map(tuple, prods.reshape(-1, rows.shape[1]).tolist())) - known)
+        known.update(frontier)
+        if limit is not None and len(known) > limit:
+            raise CapError(f"closure exceeded {limit} elements")
+    return set(_isotopies(np.array(list(known), dtype=np.uint8)))
 
 
 def greedy_generators(elements) -> list[Isotopy]:
     """Greedy generating subset, scanning elements (isotopies, or rows of
-    permutation indices) in lexicographic order.  Each generator g taken
-    extends the known subgroup by a BFS from the coset known * g."""
+    permutation indices) in lexicographic order.  Each generator taken
+    extends the known subgroup by its new right cosets; elements are indexed
+    by their position in key order."""
     rows = elements if isinstance(elements, np.ndarray) else _to_rows(elements)
     if not len(rows):
         return []
-    keys, width = np.sort(_keys(rows)), rows.shape[1]
-    known, gens = np.zeros(1, dtype=np.int64), rows[:0]  # the identity; no generators
-    while not (member := np.isin(keys, known)).all():
-        g = _rows(keys[[np.argmin(member)]], width)  # the first element not yet known
-        gens = np.concatenate([gens, g])
-        coset = np.unique(_keys(_MUL_A[_rows(known, width), g]))
-        try:
-            known = _close(gens, np.union1d(known, coset), coset, limit=len(keys))
-        except CapError:
-            break
-    if not np.array_equal(known, keys):
-        raise AssertionError("element set is not closed under composition")
+    keys = _keys(rows)
+    order = np.argsort(keys)
+    rows, keys = rows[order], keys[order]
+
+    def index(r):
+        k = _keys(r)
+        pos = np.minimum(np.searchsorted(keys, k), len(keys) - 1)
+        if not (keys[pos] == k).all():
+            raise AssertionError("element set is not closed under composition")
+        return pos
+
+    if (keys[1:] == keys[:-1]).any():
+        raise AssertionError("element set repeats an element")
+    member = np.zeros(len(keys), dtype=bool)
+    known, gens = np.zeros_like(rows[:1]), rows[:0]  # the identity; no generators
+    member[index(known)] = True
+    while not member.all():
+        gens = np.concatenate([gens, rows[[np.argmin(member)]]])  # the first element not yet known
+        known = np.concatenate([known, _extend(known, gens, index, member)])
     return _isotopies(gens)
 
 

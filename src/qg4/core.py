@@ -228,12 +228,11 @@ class Isotopy:
 # ---------------------------------------------------------------------------
 
 def _latin_violation(table: np.ndarray) -> int | None:
-    """Return a violating axis (0-based) if some section is not a bijection."""
-    n = table.ndim
-    want = np.arange(ORDER, dtype=np.uint8)
-    for axis in range(n):
-        rows = np.moveaxis(table, axis, -1).reshape(-1, ORDER)
-        if not np.array_equal(np.sort(rows, axis=1), np.broadcast_to(want, rows.shape)):
+    """The first axis (0-based) with a section that is not a bijection, if any.
+    Symbols must lie in 0..3: a bijection's one-hot symbols OR to 0b1111."""
+    onehot = np.left_shift(1, table, dtype=np.uint8)
+    for axis in range(table.ndim):
+        if not (np.bitwise_or.reduce(onehot, axis=axis) == 15).all():
             return axis
     return None
 

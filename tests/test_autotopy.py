@@ -28,8 +28,8 @@ from qg4 import (
     zero_orbit,
 )
 from qg4 import autotopy, cli, qg4_text
-from qg4.autotopy import greedy_generators
-from qg4.construct import random_semilinear_composition
+from qg4.autotopy import AutotopyGroup, greedy_generators
+from qg4.construct import ConstructionTSpec, construction_t, random_semilinear_composition
 from qg4.core import PERMS_FIXING
 
 from conftest import random_isotopy
@@ -105,6 +105,15 @@ class TestGroupOrders:
             for b in g.elements:
                 assert a * b in members
 
+    def test_elements_behave_as_the_sorted_tuple(self):
+        g = autotopy_group(shifted_linear(3))
+        items = tuple(sorted(close_isotopies(g.generators), key=Isotopy.key))
+        assert g.elements == items and items == g.elements
+        assert len(g.elements) == 16 and g.elements[0] == items[0] and g.elements[-1] == items[-1]
+        assert tuple(g.elements) == items and list(reversed(g.elements)) == list(items[::-1])
+        as_tuple = AutotopyGroup(g.order, g.generators, items)
+        assert g == as_tuple == autotopy_group(shifted_linear(3)) and hash(g) == hash(as_tuple)
+
     def test_every_element_is_autotopy(self):
         q = shifted_linear(3)
         for theta in autotopy_group(q).elements:
@@ -122,10 +131,17 @@ class TestGroupOrders:
 
 class TestOrbitStabilizer:
     def test_product_identity(self, base_tables):
-        for name in ("xor2", "z4", "g3", "h3", "sl3", "chain5"):
-            q = base_tables[name]
-            order = autotopy_group(q).order
-            assert order == len(zero_orbit(q)) * stabilizer(q).size
+        # The search skips targets in the orbit of the subgroup it has found; that
+        # is sound only once the whole stabilizer is in it, so cover stabilizers
+        # of 2 and 6 elements.  `stabilizer` is an independent direct propagation.
+        tables = [base_tables[name] for name in ("xor2", "z4", "g3", "h3", "sl3", "chain5")]
+        tables += [random_semilinear_composition(5, seed) for seed in (103, 107)]
+        sizes = set()
+        for q in tables:
+            size = stabilizer(q).size
+            sizes.add(size)
+            assert autotopy_group(q).order == len(zero_orbit(q)) * size
+        assert {2, 6} <= sizes
 
     def test_transitive_families(self):
         assert is_transitive(linear(2))
@@ -353,6 +369,11 @@ class TestBatchedMatchesScalar:
         for k in range(30):
             assert_matches_scalar(random_semilinear_composition(3 + k % 3, 1200 + k))
 
+    def test_named_families(self, base_tables):
+        for name in ("l3", "l4", "sl3", "sl4", "g3", "h3"):
+            assert_matches_scalar(base_tables[name])
+        assert_matches_scalar(construction_t(ConstructionTSpec.random(5, 3))[1])
+
     def test_first_isotopy_witness(self):
         rng = random.Random(13)
         found = 0
@@ -371,12 +392,12 @@ class TestBatchedMatchesScalar:
     def test_check_blocks_over_leading_axes(self, monkeypatch):
         # a check block spanning fewer axes than the table walks the leading ones
         tables = [linear(4), random_semilinear_composition(5, 1800)]
-        expected = [autotopy._search(q, q, find_all=True) for q in tables]
+        expected = [autotopy._autotopies(q) for q in tables]
         monkeypatch.setattr(autotopy, "CHECK_AXES", 2)
         for q, rows in zip(tables, expected):
-            assert (autotopy._search(q, q, find_all=True) == rows).all()
-            assert (autotopy._search(q, q.isotope(random_isotopy(q.arity, random.Random(1))),
-                                     find_all=False) is not None)
+            assert (autotopy._autotopies(q) == rows).all()
+            moved = q.isotope(random_isotopy(q.arity, random.Random(1)))
+            assert len(autotopy._first_isotopy(q, moved)) == 1
 
 
 class TestSearchLog:
@@ -388,10 +409,24 @@ class TestSearchLog:
             assert is_transitive(q) is not None  # cached: no second sweep
         (record,) = [r for r in caplog.records if r.name == "qg4"]
         assert record.levelno == logging.DEBUG
-        arity, candidates, survivors, checks, hits = record.args
-        assert (arity, candidates, hits) == (4, 6 * 4**4, order)
-        assert candidates >= survivors == checks >= hits
+        arity, candidates, survivors, skipped, checks, hits, generators, logged = record.args
+        assert (arity, candidates, logged) == (4, 6 * 4**4, order)
+        # a candidate the probe passes is either skipped in the orbit or checked
+        assert candidates >= survivors == checks + skipped
+        assert checks >= hits >= generators > 0
         assert "1536 candidates" in record.getMessage()
+
+    def test_orbit_targets_are_not_table_checked(self, caplog):
+        # a linear base (group order 6 * 4^5) and the arity-6 benchmark base (8,192)
+        tables = [random_semilinear_composition(5, 103), random_semilinear_composition(5, 104),
+                  random_semilinear_composition(6, 108)]
+        autotopy._sweep.cache_clear()
+        with caplog.at_level(logging.DEBUG, logger="qg4"):
+            orders = [autotopy_group(q).order for q in tables]
+        assert orders == [6144, 6144, 8192]
+        for record in caplog.records:
+            _, _, _, _, checks, _, _, order = record.args
+            assert checks <= 64 < order
 
     def test_isotopy_search_stops_at_the_first_hit(self, caplog):
         q = linear(4)

@@ -172,6 +172,16 @@ class TestParse:
         with pytest.raises(LatinError, match="bijection"):
             parse_table("qg4 2\n0123103223013201\n")
 
+    def test_latin_violation_names_the_broken_argument(self):
+        # sum of the other arguments plus x_k // 2: only sections along axis k repeat a symbol
+        grid = np.indices((4,) * 4)
+        for k in range(4):
+            table = (grid.sum(axis=0) - grid[k] + grid[k] // 2) % 4
+            with pytest.raises(LatinError, match=f"argument {k + 1} is not"):
+                Quasigroup(table)
+        with pytest.raises(FormatError, match="outside"):
+            Quasigroup(np.where(table == 3, 4, table))
+
     def test_missing_trailing_newline(self):
         with pytest.raises(FormatError):
             parse_table("qg4 2\n" + XOR2_DIGITS)
