@@ -36,6 +36,9 @@ from .core import (
     PERMS_FIXING,
     _INV,
     _MUL,
+    _gather,
+    _lookup,
+    _splitmix,
     ArityError,
     CapError,
     Isotopy,
@@ -127,9 +130,7 @@ def is_autotopy(q: Quasigroup, theta: Isotopy) -> bool:
     """True iff theta_0 f(x) = f(theta_1 x_1, ..., theta_n x_n) everywhere."""
     if theta.arity != q.arity:
         raise ArityError("isotopy arity does not match quasigroup arity")
-    lhs = theta[0].arr[q.table]
-    rhs = q.table[np.ix_(*(p.arr for p in theta.parts[1:]))]
-    return np.array_equal(lhs, rhs)
+    return np.array_equal(_lookup(theta[0].images, q.table), _gather(q.table, theta.parts[1:]))
 
 
 def zero_anchor(q: Quasigroup) -> tuple[int, ...]:
@@ -151,8 +152,7 @@ def _propagate_candidate(source: Quasigroup, constraint: Quasigroup, zero_secs: 
     parts = [theta0]
     for z, s_inv in zip(zero_secs, inv_target_secs):
         parts.append(s_inv * theta0 * z)
-    rhs = source.table[np.ix_(*(p.arr for p in parts[1:]))]
-    if not np.array_equal(theta0.arr[constraint.table], rhs):
+    if not np.array_equal(_lookup(theta0.images, constraint.table), _gather(source.table, parts[1:])):
         return None
     return Isotopy(parts)
 
@@ -194,14 +194,9 @@ def _probes(n: int) -> list[tuple[np.ndarray, list[np.ndarray]]]:
     cut to 2n bits.  Fibonacci hashing alone spreads cells along the flat index
     but correlates their digits: 64 such cells at arity 5 passed candidates that
     fail on an eighth of the table."""
-    cells = []
-    for k in range(1, PROBE_CELLS + PROBE_CELLS_2 + 1):
-        z = k * 0x9E3779B97F4A7C15 % 2**64
-        z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 % 2**64
-        z = (z ^ z >> 27) * 0x94D049BB133111EB % 2**64
-        cells.append((z ^ z >> 31) >> (64 - 2 * n))
+    cells = _splitmix(PROBE_CELLS + PROBE_CELLS_2, 2 * n)
     return [(c, [_IMG[:, c // w % 4].astype(np.int32) * w for w in _WEIGHTS[-n:]])
-            for c in np.split(np.array(cells), [PROBE_CELLS])]
+            for c in np.split(cells, [PROBE_CELLS])]
 
 
 class _Candidates:

@@ -7,6 +7,7 @@ Exit codes: 0 ok, 1 malformed input or usage, 2 Latin violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections import Counter
@@ -335,11 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # built once: parsing leaves no state on it
+
+
 def run(argv: list[str], out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if getattr(args, "max_arity", atp.DEFAULT_CAP) > atp.DEFAULT_CAP:
             print(f"warning: arity cap raised to {args.max_arity}; "
                   "the sweep grows as 16^n", file=sys.stderr)

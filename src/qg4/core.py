@@ -229,12 +229,40 @@ class Isotopy:
 
 def _latin_violation(table: np.ndarray) -> int | None:
     """The first axis (0-based) with a section that is not a bijection, if any.
-    Symbols must lie in 0..3: a bijection's one-hot symbols OR to 0b1111."""
-    onehot = np.left_shift(1, table, dtype=np.uint8)
+    Symbols must lie in 0..3: a bijection's one-hot symbols OR to 0b1111.  The
+    four slices along an axis are blocks of a (4^axis, 4, -1) view, read in words."""
+    onehot = np.left_shift(1, table.ravel(), dtype=np.uint8)
     for axis in range(table.ndim):
-        if not (np.bitwise_or.reduce(onehot, axis=axis) == 15).all():
+        word = {1: np.uint8, 4: np.uint32}.get(ORDER ** (table.ndim - 1 - axis), np.uint64)
+        v = onehot.view(word).reshape(ORDER**axis, ORDER, -1)
+        if not ((v[:, 0] | v[:, 1] | v[:, 2] | v[:, 3]).view(np.uint8) == 15).all():
             return axis
     return None
+
+
+def _splitmix(count: int, bits: int) -> np.ndarray:
+    """SplitMix64 outputs for the counters 1..count, cut to their top `bits` bits:
+    fixed, well-spread cells of a table of 2^bits entries, without numpy.random."""
+    z = np.arange(1, count + 1, dtype=np.uint64) * 0x9E3779B97F4A7C15
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9
+    z = (z ^ z >> 27) * 0x94D049BB133111EB
+    return ((z ^ z >> 31) >> 64 - bits).astype(np.int64)
+
+
+def _lookup(images: Sequence[int], table: np.ndarray) -> np.ndarray:
+    """images[table] for four images in 0..3, packed two bits each and shifted
+    out: a few times faster than a fancy-indexed lookup on a large table."""
+    out = np.left_shift(table, 1)
+    np.right_shift(np.uint8(sum(int(x) << 2 * i for i, x in enumerate(images))), out, out=out)
+    return np.bitwise_and(out, 3, out=out)
+
+
+def _gather(table: np.ndarray, perms: Sequence[Perm]) -> np.ndarray:
+    """table[np.ix_(p_1.arr, ..., p_n.arr)], one take per axis; identities are skipped."""
+    for axis, p in enumerate(perms):
+        if not p.is_identity:
+            table = np.take(table, p.arr, axis=axis)
+    return table
 
 
 class Quasigroup:
@@ -270,10 +298,11 @@ class Quasigroup:
         if len(digits) != ORDER**arity:
             raise FormatError(
                 f"expected {ORDER**arity} digits for arity {arity}, got {len(digits)}")
-        if not set(digits) <= set("0123"):
+        # A non-ASCII character becomes "?"; below "0" wraps around above 3.
+        arr = np.frombuffer(digits.encode("ascii", "replace"), dtype=np.uint8) - ord("0")
+        if arr.max() > 3:
             bad = next(c for c in digits if c not in "0123")
             raise FormatError(f"invalid table digit {bad!r}")
-        arr = np.frombuffer(digits.encode("ascii"), dtype=np.uint8) - ord("0")
         return cls(arr.reshape((ORDER,) * arity))
 
     @classmethod
@@ -294,7 +323,7 @@ class Quasigroup:
         return self(*x)
 
     def digits(self) -> str:
-        return "".join(str(int(v)) for v in self.table.ravel())
+        return (self.table.ravel() + ord("0")).tobytes().decode("ascii")
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Quasigroup) and self.arity == other.arity
@@ -343,8 +372,8 @@ class Quasigroup:
         """g(x) = theta_0^{-1} f(theta_1 x_1, ..., theta_n x_n)."""
         if theta.arity != self.arity:
             raise ArityError("isotopy arity does not match quasigroup arity")
-        gathered = self.table[np.ix_(*(p.arr for p in theta.parts[1:]))]
-        return Quasigroup(theta.parts[0].inverse().arr[gathered], _trusted=True)
+        gathered = _gather(self.table, theta.parts[1:])
+        return Quasigroup(_lookup(theta.parts[0].inverse().images, gathered), _trusted=True)
 
     def compose_at(self, inner: "Quasigroup", pos: int) -> "Quasigroup":
         """Substitute `inner` for argument `pos`, keeping argument order.

@@ -4,13 +4,17 @@ A repetition-free composition is stored as a rooted tree whose internal nodes
 carry quasigroup labels (arity = child count) and whose leaves carry the
 variable indices 1..n.  The root's value slot plays the role of the extra
 leaf x_0 in the unrooted view used by the counting machinery, so every node
-of arity k has degree k+1 there.
+of arity k has degree k+1 there.  Splits are found probe first: every
+argument subset of one size is tested at a few cells at once, and only the
+survivors are checked on the whole table.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import logging
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -24,6 +28,7 @@ from .core import (
     Isotopy,
     Perm,
     Quasigroup,
+    _splitmix,
 )
 from .autotopy import is_autotopy
 from .semilinear import (
@@ -31,6 +36,10 @@ from .semilinear import (
     native_elements,
     semilinear_profile,
 )
+
+SPLIT_POINTS = 64  # probe points per subset, at most (sampled beyond 4^3)
+SPLIT_COMPLETIONS = 8  # fixed completions of the other arguments
+_log = logging.getLogger("qg4")
 
 
 @dataclass(frozen=True)
@@ -182,22 +191,51 @@ def _try_split(q: Quasigroup, subset: tuple[int, ...]):
     return inner, outer
 
 
+@functools.lru_cache(maxsize=32)
+def _split_probe(n: int, m: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """The size-m subsets at arity n and their probe cells (subsets, completions,
+    points): the other arguments at zero, then at SPLIT_COMPLETIONS fixed values."""
+    subsets = list(itertools.combinations(range(1, n + 1), m))
+    weights = ORDER ** (n - np.array(subsets))  # (subsets, m)
+    points = np.arange(ORDER**m) if ORDER**m <= SPLIT_POINTS else _splitmix(SPLIT_POINTS, 2 * m)
+    inside = (points[:, None] >> 2 * np.arange(m - 1, -1, -1) & 3) @ weights.T  # (points, subsets)
+    rest = np.append(0, _splitmix(SPLIT_COMPLETIONS, 2 * n))[:, None]
+    rest = rest - (rest[..., None] // weights % ORDER * weights).sum(axis=2)  # subset digits cut out
+    return subsets, (rest.T[:, :, None] + inside.T[:, None, :]).astype(np.int32)
+
+
 def find_split(q: Quasigroup):
     """Smallest-then-lexicographic argument subset splitting q, or None.
 
     Returns (subset, inner, outer) with q = outer(inner(x_subset), x_rest),
     both parts reading their arguments in increasing index order and the
     inner value feeding outer's first argument.
+
+    Probe first: if the subset splits, q(a, r) = sigma_r(q(a, 0)) for every
+    completion r of the other arguments.  All subsets of one size are probed
+    at once at a few fixed r, and only those where q(a, r) is a function of
+    q(a, 0) get the full check, in lexicographic order.
     """
-    n = q.arity
-    if n < 3:
-        return None
+    n, found, probed, survivors, checks = q.arity, None, 0, 0, 0
     for size in range(2, n):
-        for subset in itertools.combinations(range(1, n + 1), size):
-            got = _try_split(q, subset)
-            if got is not None:
-                return subset, got[0], got[1]
-    return None
+        subsets, cells = _split_probe(n, size)
+        values = q.table.ravel()[cells].astype(np.uint16)
+        # one bit per (value at 0, value at r) pair seen; a function sets at
+        # most one bit in each nibble, the pairs with one value at 0
+        seen = np.bitwise_or.reduce(1 << (4 * values[:, :1] + values[:, 1:]), axis=2)
+        nibbles = seen[..., None] >> np.arange(0, 16, 4, dtype=np.uint16) & 15
+        passed = np.flatnonzero(((nibbles & (nibbles - 1)) == 0).all(axis=(1, 2)))
+        probed, survivors = probed + len(subsets), survivors + len(passed)
+        for i in passed:
+            checks += 1
+            if (got := _try_split(q, subsets[i])) is not None:
+                found = subsets[i], *got
+                break
+        if found:
+            break
+    _log.debug("split: arity %d, %d subsets probed, %d probe survivors, %d full checks, "
+               "subset %s", n, probed, survivors, checks, found and found[0])
+    return found
 
 
 def _substitute_leaves(t: Tree, mapping: dict[int, Tree]) -> Tree:

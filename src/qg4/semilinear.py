@@ -4,17 +4,19 @@ A quasigroup is semilinear when its table respects a splitting of {0,1,2,3}
 into two pairs in every coordinate (value included).  Pairs only matter up to
 complement, so each coordinate carries one of the three pair partitions
 01|23, 02|13, 03|12.  The output partition forces the argument partitions
-through the zero-anchored sections, so detection costs three verified scans.
+through the zero-anchored sections, so detection costs three verified scans,
+each comparing the value's block with an xor of the argument blocks.
 """
 
 from __future__ import annotations
 
-import functools
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ArityError, Isotopy, Perm, Quasigroup
+from .core import ArityError, Isotopy, Perm, Quasigroup, _lookup
 from .autotopy import is_autotopy
 
 
@@ -117,35 +119,47 @@ class SemilinearProfile:
         return min(constant) if constant else None
 
 
-@functools.lru_cache(maxsize=4096)
+CACHE_ENTRIES = 4096
+CACHE_BYTES = 64 * 2**20  # of key tables: one arity-12 table is 16 MiB
+_cache: OrderedDict[Quasigroup, SemilinearProfile] = OrderedDict()  # least recent first
+_cache_bytes = 0
+_cache_lock = threading.Lock()
+
+
 def semilinear_profile(q: Quasigroup) -> SemilinearProfile:
     """Detect every valid partition assignment by quotient verification.
 
     For each candidate output partition, the argument partitions are forced as
-    preimages under the zero-anchored sections; the assignment survives iff
-    the value's block depends only on the argument blocks over the full table.
+    preimages under the zero-anchored sections.  The quotient of a quasigroup
+    by partitions it respects is a binary quasigroup of order 2, which is the
+    xor up to a constant; so the assignment survives iff the value's block is
+    c ^ block_1(x_1) ^ ... ^ block_n(x_n) everywhere, c the block of f(0,...,0).
+    Profiles are cached, within CACHE_ENTRIES and CACHE_BYTES of key tables.
     """
+    global _cache_bytes
+    with _cache_lock:
+        if q in _cache:
+            _cache.move_to_end(q)
+            return _cache[q]
     n = q.arity
     zero_secs = [q.zero_section(i) for i in range(1, n + 1)]
     found = []
-    n_signatures = 2**n
     for p0 in PARTITIONS:
         assignment = [p0]
         for sec in zero_secs:
             assignment.append(p0.image_under(sec.inverse()))
-        blocks = p0.mask[q.table].ravel().astype(np.int64)
-        signature = np.zeros((4,) * n, dtype=np.int64)
-        for j in range(1, n + 1):
-            axis_mask = assignment[j].mask.astype(np.int64) << (j - 1)
-            shape = [1] * n
-            shape[j - 1] = 4
-            signature = signature + axis_mask.reshape(shape)
-        signature = signature.ravel()
-        ones = np.bincount(signature, weights=blocks, minlength=n_signatures)
-        totals = np.bincount(signature, minlength=n_signatures)
-        if np.all((ones == 0) | (ones == totals)):
+        expected = p0.mask[q.table[(0,) * n]]  # grown from the last axis, in flat order
+        for p in reversed(assignment[1:]):
+            expected = (p.mask[:, None] ^ expected).ravel()
+        if np.array_equal(_lookup(p0.mask, q.table).ravel(), expected):
             found.append(tuple(assignment))
-    return SemilinearProfile(arity=n, assignments=tuple(found))
+    profile = SemilinearProfile(arity=n, assignments=tuple(found))
+    with _cache_lock:
+        if _cache.setdefault(q, profile) is profile:
+            _cache_bytes += q.table.nbytes
+        while len(_cache) > CACHE_ENTRIES or _cache_bytes > CACHE_BYTES:
+            _cache_bytes -= _cache.popitem(last=False)[0].table.nbytes
+    return profile
 
 
 def is_semilinear(q: Quasigroup) -> bool:

@@ -22,8 +22,6 @@ from qg4 import (
     construction_t,
     floor_lower_bound,
     full_decomposition,
-    g3,
-    h3,
     is_autotopy,
     is_linear,
     linear,
@@ -45,6 +43,7 @@ from qg4.decompose import Node, iter_nodes
 from qg4.semilinear import PARTITIONS, native_elements
 from qg4.construct import random_semilinear_composition
 
+from conftest import acceptance_corpus
 from test_decompose import build_figure_tree
 
 
@@ -55,28 +54,7 @@ def report(k, text):
 @pytest.fixture(scope="module")
 def corpus():
     """Builtins, chains, 100 seeded constructions, 100 random compositions."""
-    members = [
-        ("xor2", xor2()),
-        ("z4", z4()),
-        ("g3", g3()),
-        ("h3", h3()),
-        ("chain5", chain(5)),
-        ("chain6", chain(6)),
-        ("l2", linear(2)),
-        ("l3", linear(3)),
-        ("l4", linear(4)),
-        ("l5", linear(5)),
-        ("sl3", shifted_linear(3)),
-        ("sl4", shifted_linear(4)),
-        ("sl5", shifted_linear(5)),
-    ]
-    for seed in range(50):
-        members.append((f"t3-{seed}", construction_t(ConstructionTSpec.random(3, seed))[1]))
-        members.append((f"t5-{seed}", construction_t(ConstructionTSpec.random(5, seed))[1]))
-    for seed in range(100):
-        arity = 3 + seed % 4
-        members.append((f"comp{arity}-{seed}",
-                        random_semilinear_composition(arity, seed)))
+    members = list(acceptance_corpus())
     assert all(q.arity <= 6 for _name, q in members)
     return members
 

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from qg4 import linear, parse_table, qg4_text, z4
+from qg4 import cli
 from qg4.cli import (
     EXIT_CAP,
     EXIT_FORMAT,
@@ -237,6 +238,27 @@ class TestExitCodes:
         path = tmp_path / "l3.qg4"
         path.write_text(qg4_text(linear(3)))
         self.assert_reported(["isotopic", z4_file, str(path)], capsys)
+
+
+class TestParserReuse:
+    """The parser is built once and reused across calls."""
+
+    def test_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    def test_usage_error_after_a_successful_run(self, z4_file, capsys):
+        assert invoke(["atp", z4_file, "--generators"])[0] == EXIT_OK
+        for argv in (["frobnicate"], ["atp"], ["atp", z4_file, "--bogus"], []):
+            assert invoke(argv)[0] == EXIT_FORMAT
+            assert capsys.readouterr().err.startswith("error: ")
+        assert invoke(["atp", z4_file, "--generators"])[0] == EXIT_OK
+
+    def test_identical_calls_print_identical_bytes(self, z4_file):
+        for argv in (["analyze", z4_file, "--json"], ["decompose", z4_file, "--reduced"],
+                     ["atp", z4_file, "--elements"]):
+            assert invoke(argv) == invoke(argv)
+        # flags of one call do not leak into the next
+        assert invoke(["atp", z4_file]) == (EXIT_OK, "order 32\n")
 
 
 class TestThreadsFlag:

@@ -25,6 +25,8 @@ from qg4 import (
     xor2,
     z4,
 )
+from qg4.autotopy import _propagate_candidate, is_autotopy
+from qg4.core import _gather, _lookup
 from qg4.construct import XOR2_DIGITS, Z4_DIGITS, random_semilinear_composition
 
 from conftest import random_isotopy
@@ -194,6 +196,25 @@ class TestParse:
     def test_bytes_input(self):
         assert parse_table(qg4_text(xor2()).encode("ascii")) == xor2()
 
+    def test_bad_digit_is_named(self):
+        # below "0", above "3" and non-ASCII, with an earlier bad digit winning
+        for bad in ("/", "4", "a", "\u00e9", "\u0660"):
+            for at in (0, 9, 15):
+                digits = XOR2_DIGITS[:at] + bad + XOR2_DIGITS[at + 1:]
+                with pytest.raises(FormatError, match=f"invalid table digit {bad!r}"):
+                    parse_table(f"qg4 2\n{digits}\n")
+        with pytest.raises(FormatError, match="digit '9'"):
+            Quasigroup.from_digits(2, "01239" + XOR2_DIGITS[5:11] + "/" + XOR2_DIGITS[12:])
+        with pytest.raises(FormatError, match="not ASCII"):
+            parse_table(f"qg4 2\n\u00e9{XOR2_DIGITS[1:]}\n".encode("utf-8"))
+
+    def test_arity10_round_trip(self):
+        q = random_semilinear_composition(10, 1)
+        text = qg4_text(q)
+        assert len(text) == len("qg4 10\n") + 4**10 + 1
+        assert text[7:-1] == "".join(str(v) for v in q.table.ravel())  # the old digits()
+        assert parse_table(text) == q and parse_table(text.encode("ascii")) == q
+
 
 class TestEval:
     def test_examples(self):
@@ -287,6 +308,41 @@ class TestIsotope:
             theta = random_isotopy(3, rng)
             moved = {theta.inverse().apply(t) for t in q.code()}
             assert moved == q.isotope(theta).code()
+
+
+class TestGather:
+    """The per-axis gather and the packed lookup against np.ix_ and fancy indexing."""
+
+    def test_matches_ix(self):
+        rng = random.Random(6)
+        for arity in range(2, 9):
+            q = random_semilinear_composition(arity, 600 + arity)
+            for k in range(4):
+                theta = random_isotopy(arity, rng)
+                if k == 0:  # identities are skipped: keep some
+                    theta = Isotopy(IDENTITY if rng.random() < 0.5 else p for p in theta)
+                ix = q.table[np.ix_(*(p.arr for p in theta.parts[1:]))]
+                assert np.array_equal(_gather(q.table, theta.parts[1:]), ix)
+                assert np.array_equal(q.isotope(theta).table, theta[0].inverse().arr[ix])
+                assert is_autotopy(q, theta) == np.array_equal(theta[0].arr[q.table], ix)
+
+    def test_lookup_matches_fancy_indexing(self):
+        table = np.arange(4**5, dtype=np.uint8).reshape((4,) * 5) % 4
+        for p in PERMS:
+            assert np.array_equal(_lookup(p.images, table), p.arr[table])
+        mask = np.array([0, 1, 1, 0], dtype=np.uint8)
+        assert np.array_equal(_lookup(mask, table), mask[table])
+
+    def test_propagate_candidate_verifies_on_the_gather(self):
+        q = linear(4)
+        zero = [q.zero_section(i) for i in range(1, 5)]
+        inv = [z.inverse() for z in zero]
+        for theta0 in PERMS:
+            got = _propagate_candidate(q, q, zero, inv, theta0)
+            parts = [theta0] + [s * theta0 * z for s, z in zip(inv, zero)]
+            expected = np.array_equal(theta0.arr[q.table],
+                                      q.table[np.ix_(*(p.arr for p in parts[1:]))])
+            assert (got is not None) == expected
 
 
 class TestComposeAt:

@@ -1,4 +1,6 @@
+import io
 import itertools
+import logging
 import random
 
 import pytest
@@ -36,9 +38,12 @@ from qg4 import (
     xor2,
     z4,
 )
-from qg4.decompose import Leaf, Node, is_proper, iter_nodes, validate_tree
+from qg4 import cli, qg4_text
+from qg4.decompose import Leaf, Node, _try_split, is_proper, iter_nodes, validate_tree
 from qg4.semilinear import PARTITIONS
 from qg4.construct import conjugate_uniform, random_semilinear_composition
+
+from conftest import oracle_tables, random_isotopy
 
 P01, P02, P03 = PARTITIONS
 
@@ -99,6 +104,58 @@ class TestFindSplit:
             val = outer(inner(*(x[a - 1] for a in subset)),
                         *(x[r - 1] for r in rest))
             assert val == q(*x)
+
+
+def scan_split(q):
+    """find_split's old route: the full check on every subset, smallest first."""
+    for size in range(2, q.arity):
+        for subset in itertools.combinations(range(1, q.arity + 1), size):
+            got = _try_split(q, subset)
+            if got is not None:
+                return subset, got[0], got[1]
+    return None
+
+
+class TestSplitOracle:
+    def test_probe_first_matches_the_exhaustive_scan(self):
+        for q in oracle_tables():
+            assert find_split(q) == scan_split(q)
+
+    def test_split_probed_at_sampled_points(self):
+        # the irreducible shifted xor splits off at size 5, probed at sampled
+        # points of the subset rather than at all 4^5
+        rng = random.Random(7)
+        for q in (z4().compose_at(shifted_linear(5), 1), z4().compose_at(shifted_linear(5), 2)):
+            q = q.isotope(random_isotopy(6, rng))
+            got = find_split(q)
+            assert len(got[0]) == 5 and got == scan_split(q)
+
+
+class TestSplitLog:
+    def records(self, caplog, q):
+        with caplog.at_level(logging.DEBUG, logger="qg4"):
+            got = find_split(q)
+        (record,) = [r for r in caplog.records if r.name == "qg4"]
+        assert record.levelno == logging.DEBUG and record.getMessage().startswith("split: ")
+        return got, record.args
+
+    def test_one_debug_record_per_call(self, caplog):
+        got, (arity, probed, survivors, checks, subset) = self.records(caplog, chain(7))
+        assert (arity, subset) == (7, got[0])
+        assert probed >= survivors >= checks >= 1
+
+    def test_irreducible_label_checks_only_survivors(self, caplog):
+        got, (arity, probed, survivors, checks, subset) = self.records(caplog, shifted_linear(4))
+        assert got is None and subset is None
+        assert (arity, probed) == (4, 6 + 4) and survivors == checks
+
+    def test_default_level_prints_nothing(self, tmp_path, capsys):
+        path = tmp_path / "q.qg4"
+        path.write_text(qg4_text(chain(7)))
+        out = io.StringIO()
+        assert cli.run(["decompose", str(path), "--reduced"], out=out) == 0
+        assert out.getvalue().startswith("{") and out.getvalue().count("\n") == 1
+        assert capsys.readouterr() == ("", "")
 
 
 class TestFullDecomposition:

@@ -1,10 +1,13 @@
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 
 from qg4 import (
     IDENTITY,
+    all_binary_quasigroups,
     Isotopy,
     Perm,
     autotopy_group,
@@ -21,11 +24,14 @@ from qg4 import (
     xor2,
     z4,
 )
+import numpy as np
+
+from qg4 import semilinear
 from qg4.core import Quasigroup
 from qg4.semilinear import PairPartition, PARTITIONS
 from qg4.construct import chain, random_semilinear_composition
 
-from conftest import random_isotopy
+from conftest import oracle_tables, random_isotopy
 
 P01, P02, P03 = PARTITIONS
 
@@ -91,6 +97,92 @@ class TestQuotientSoundness:
                     cube = [arg_blocks[j][pick[j]] for j in range(q.arity)]
                     values = {q(*x) for x in itertools.product(*cube)}
                     assert values == set(p0.low) or values == set(p0.high)
+
+
+def bincount_assignments(q):
+    """semilinear_profile's old route: an assignment is valid iff the value's
+    block is constant on every class of argument-block signatures."""
+    n = q.arity
+    found = []
+    for p0 in PARTITIONS:
+        assignment = [p0] + [p0.image_under(q.zero_section(i).inverse()) for i in range(1, n + 1)]
+        blocks = p0.mask[q.table].ravel().astype(np.int64)
+        signature = np.zeros((4,) * n, dtype=np.int64)
+        for j in range(1, n + 1):
+            shape = [1] * n
+            shape[j - 1] = 4
+            signature = signature + (assignment[j].mask.astype(np.int64) << (j - 1)).reshape(shape)
+        ones = np.bincount(signature.ravel(), weights=blocks, minlength=2**n)
+        totals = np.bincount(signature.ravel(), minlength=2**n)
+        if np.all((ones == 0) | (ones == totals)):
+            found.append(tuple(assignment))
+    return tuple(found)
+
+
+class TestXorMatchesBincount:
+    def test_oracle_tables(self):
+        for q in oracle_tables():
+            assert semilinear_profile(q).assignments == bincount_assignments(q)
+
+
+class TestProfileCache:
+    @pytest.fixture(autouse=True)
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(semilinear, "_cache", type(semilinear._cache)())
+        monkeypatch.setattr(semilinear, "_cache_bytes", 0)
+
+    def test_retained_bytes_stay_under_the_bound(self):
+        rng = random.Random(12)
+        base = random_semilinear_composition(9, 12)  # 256 KiB tables
+        first = base.isotope(random_isotopy(9, rng))
+        profile = semilinear_profile(first)
+        assert semilinear_profile(first) is profile  # a hit
+        held = []
+        for _ in range(semilinear.CACHE_BYTES // first.table.nbytes + 8):
+            q = base.isotope(random_isotopy(9, rng))
+            semilinear_profile(q)
+            held.append(q)
+            assert semilinear._cache_bytes <= semilinear.CACHE_BYTES
+            assert semilinear._cache_bytes == sum(k.table.nbytes for k in semilinear._cache)
+        assert first not in semilinear._cache and held[-1] in semilinear._cache
+        assert len(held) * first.table.nbytes > semilinear.CACHE_BYTES
+
+    def test_threads_keep_the_byte_count(self, monkeypatch):
+        # more threads than cores on overlapping inputs, evicting all the time
+        monkeypatch.setattr(semilinear, "CACHE_ENTRIES", 8)
+        squares = list(all_binary_quasigroups())[:40]
+        expected = {q: semilinear_profile(q) for q in squares}
+        errors = []
+
+        def work(k):
+            try:
+                for q in (squares[k:] + squares[:k]) * 4:
+                    assert semilinear_profile(q) == expected[q]
+            except BaseException as exc:  # reported below, from the main thread
+                errors.append(exc)
+                raise
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(0, 40, 5)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(t.is_alive() for t in threads)
+        assert len(semilinear._cache) <= 8
+        assert semilinear._cache_bytes == sum(k.table.nbytes for k in semilinear._cache)
+
+    def test_entry_bound(self, monkeypatch):
+        monkeypatch.setattr(semilinear, "CACHE_ENTRIES", 3)
+        squares = list(all_binary_quasigroups())[:5]
+        for q in squares:
+            semilinear_profile(q)
+        semilinear_profile(squares[2])  # a hit moves it to the back
+        assert list(semilinear._cache) == [squares[3], squares[4], squares[2]]
 
 
 class TestMembership:
