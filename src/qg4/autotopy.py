@@ -356,7 +356,9 @@ def autotopy_group(q: Quasigroup, *, cap: int = DEFAULT_CAP) -> AutotopyGroup:
 def _orbit(q: Quasigroup, cap: int) -> np.ndarray:
     """Sorted flat indices of the zero-anchor orbit: its images under every autotopy."""
     _check_cap(q, cap)
-    return np.unique(_targets(_sweep(q)))
+    seen = np.zeros(ORDER**q.arity, dtype=bool)
+    seen[_targets(_sweep(q))] = True
+    return np.flatnonzero(seen)
 
 
 def zero_orbit(q: Quasigroup, *, cap: int = DEFAULT_CAP) -> frozenset:
@@ -435,7 +437,7 @@ def _extend(known: np.ndarray, gens: np.ndarray, index, member: np.ndarray) -> n
     return np.concatenate(grown)
 
 
-def close_isotopies(gens, *, limit: int | None = None) -> set[Isotopy]:
+def close_isotopies(gens) -> set[Isotopy]:
     """Group generated by a set of isotopies (closure under composition)."""
     rows = _to_rows(gens)
     if not len(rows):
@@ -446,8 +448,6 @@ def close_isotopies(gens, *, limit: int | None = None) -> set[Isotopy]:
         prods = _MUL_A[np.array(frontier, dtype=np.uint8)[:, None, :], rows]
         frontier = list(set(map(tuple, prods.reshape(-1, rows.shape[1]).tolist())) - known)
         known.update(frontier)
-        if limit is not None and len(known) > limit:
-            raise CapError(f"closure exceeded {limit} elements")
     return set(_isotopies(np.array(list(known), dtype=np.uint8)))
 
 

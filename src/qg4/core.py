@@ -287,22 +287,25 @@ class Quasigroup:
             arr.setflags(write=False)
         self.table = arr
         self.arity = arr.ndim
-        self._hash = hash((self.arity, arr.tobytes()))
+        self._hash = None  # on first use: most intermediate tables are never hashed
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_digits(cls, arity: int, digits: str) -> "Quasigroup":
+    def from_digits(cls, arity: int, digits: str | bytes | memoryview) -> "Quasigroup":
+        """The table from its 4^arity digits, as text or as ASCII bytes read in place."""
         if arity < 1 or arity > MAX_ARITY:
             raise FormatError(f"unsupported arity {arity}")
         if len(digits) != ORDER**arity:
             raise FormatError(
                 f"expected {ORDER**arity} digits for arity {arity}, got {len(digits)}")
         # A non-ASCII character becomes "?"; below "0" wraps around above 3.
-        arr = np.frombuffer(digits.encode("ascii", "replace"), dtype=np.uint8) - ord("0")
+        raw = digits.encode("ascii", "replace") if isinstance(digits, str) else digits
+        arr = np.frombuffer(raw, dtype=np.uint8) - ord("0")
         if arr.max() > 3:
-            bad = next(c for c in digits if c not in "0123")
-            raise FormatError(f"invalid table digit {bad!r}")
+            bad = digits[int(np.argmax(arr > 3))]
+            raise FormatError(f"invalid table digit {bad if isinstance(bad, str) else chr(bad)!r}")
+        arr.setflags(write=False)  # a fresh array: Quasigroup need not copy it
         return cls(arr.reshape((ORDER,) * arity))
 
     @classmethod
@@ -319,9 +322,6 @@ class Quasigroup:
             raise ArityError(f"expected {self.arity} arguments, got {len(args)}")
         return int(self.table[args])
 
-    def value(self, x: Sequence[int]) -> int:
-        return self(*x)
-
     def digits(self) -> str:
         return (self.table.ravel() + ord("0")).tobytes().decode("ascii")
 
@@ -330,6 +330,8 @@ class Quasigroup:
                 and np.array_equal(self.table, other.table))
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.arity, self.table.tobytes()))
         return self._hash
 
     def __reduce__(self):
@@ -412,23 +414,21 @@ class Quasigroup:
 # ---------------------------------------------------------------------------
 
 def parse_table(data: bytes | str) -> Quasigroup:
-    """Parse the qg4 format: "qg4 <n>\\n<4^n digits>\\n", nothing else."""
-    if isinstance(data, bytes):
-        try:
-            text = data.decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise FormatError("qg4 file is not ASCII") from exc
-    else:
-        text = data
-    lines = text.split("\n")
-    if len(lines) != 3 or lines[2] != "":
+    """Parse the qg4 format: "qg4 <n>\\n<4^n digits>\\n", nothing else.
+
+    The digits of bytes input are read in place, not decoded to text."""
+    if isinstance(data, bytes) and not data.isascii():
+        raise FormatError("qg4 file is not ASCII")
+    newline = "\n" if isinstance(data, str) else b"\n"
+    if data.count(newline) != 2 or not data.endswith(newline):
         raise FormatError("expected exactly two newline-terminated lines")
-    header, body = lines[0], lines[1]
+    cut = data.find(newline)
+    header = data[:cut] if isinstance(data, str) else data[:cut].decode("ascii")
     parts = header.split(" ")
     if len(parts) != 2 or parts[0] != "qg4" or not parts[1].isdigit():
         raise FormatError(f"malformed header {header!r}; expected 'qg4 <n>'")
-    arity = int(parts[1])
-    return Quasigroup.from_digits(arity, body)
+    body = data[cut + 1:-1] if isinstance(data, str) else memoryview(data)[cut + 1:-1]
+    return Quasigroup.from_digits(int(parts[1]), body)
 
 
 def qg4_text(q: Quasigroup) -> str:

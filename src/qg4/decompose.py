@@ -76,10 +76,6 @@ def leaf_vars(t: Tree) -> list[int]:
     return out
 
 
-def tree_arity(t: Tree) -> int:
-    return len(leaf_vars(t))
-
-
 def validate_tree(t: Tree) -> int:
     """Check leaf indices form a permutation of 1..n and arities match; return n."""
     if isinstance(t, Leaf):
@@ -340,14 +336,6 @@ def is_reduced(t: Tree) -> bool:
     return True
 
 
-def _xor_table(n: int) -> Quasigroup:
-    grids = np.indices((ORDER,) * n, dtype=np.uint8)
-    acc = grids[0]
-    for g in grids[1:]:
-        acc = acc ^ g
-    return Quasigroup(acc, _trusted=True)
-
-
 def _slot_partner(label: Quasigroup, slot: int, target: PairPartition) -> int:
     """Partner of 0 at a slot, preferring the color target when it is valid."""
     options = semilinear_profile(label).partitions_at(slot)
@@ -367,73 +355,52 @@ def reduce_decomposition(t: Tree) -> tuple[Tree, Isotopy]:
     returned isotopy theta satisfies tree_eval(t).isotope(theta) == the new
     tree's value, per the edge-isotopy action on decompositions.
     """
-    n = validate_tree(t)
+    struct = _Structure(t)
     if not is_proper(t):
         raise ValueError("reduce_decomposition needs a proper tree")
-    struct = _structure(t)
-
-    targets = {
-        info.node_id: PairPartition(1 if info.depth % 2 == 0 else 2)
-        for info in struct.infos
-    }
 
     single = struct.infos[0]
     if len(struct.infos) == 1 and semilinear_profile(single.label).is_linear:
         # A lone linear label is normalized straight to the plain xor table;
         # the slot permutations spread onto the leaf edges by variable.
         from .autotopy import are_isotopic
+        from .construct import linear
 
-        theta = are_isotopic(single.label, _xor_table(n))
+        theta = are_isotopic(single.label, linear(struct.arity))
         assert theta is not None
-        edge_perms = {struct.edge_key(0, s): theta[s] for s in range(n + 1)}
-        new_tree = _apply_edge_isotopy(t, struct, edge_perms)
-        flat = Isotopy(edge_perms[("leaf", j)] for j in range(n + 1))
-        return new_tree, flat
-
-    edge_perms: dict[EdgeKey, Perm] = {}
-    for info in struct.infos:
-        target = targets[info.node_id]
-        for slot, (kind, ref) in enumerate(info.slots):
-            key = struct.edge_key(info.node_id, slot)
-            if key in edge_perms:
-                continue
-            a = _slot_partner(info.label, slot, target)
-            if kind == "leaf":
-                edge_perms[key] = (
-                    IDENTITY if a == target.partner
-                    else Perm.from_cycles((target.partner, a)))
-            else:
-                other_id = ref if slot != 0 else info.parent
-                assert other_id is not None
-                other = struct.infos[other_id]
-                other_slot = struct.slot_of_edge(other_id, key)
-                b = _slot_partner(other.label, other_slot, targets[other_id])
-                if targets[info.node_id].partner == 1:
-                    a1, a2 = a, b
+        edge_perms = dict(zip(single.slots, theta))
+    else:
+        targets = [PairPartition(1 if info.depth % 2 == 0 else 2) for info in struct.infos]
+        edge_perms: dict[EdgeKey, Perm] = {}
+        for u, info in enumerate(struct.infos):
+            for slot, key in enumerate(info.slots):
+                if key in edge_perms:  # a parent edge, set from the parent's side
+                    continue
+                a = _slot_partner(info.label, slot, targets[u])
+                kind, v = key
+                if kind == "leaf":
+                    edge_perms[key] = (
+                        IDENTITY if a == targets[u].partner
+                        else Perm.from_cycles((targets[u].partner, a)))
                 else:
-                    a1, a2 = b, a
-                images = [0, a1, a2, 6 - a1 - a2]
-                edge_perms[key] = Perm(images)
+                    # the edge to child v is v's slot 0
+                    b = _slot_partner(struct.infos[v].label, 0, targets[v])
+                    a1, a2 = (a, b) if targets[u].partner == 1 else (b, a)
+                    edge_perms[key] = Perm([0, a1, a2, 6 - a1 - a2])
 
-    new_tree = _apply_edge_isotopy(t, struct, edge_perms)
-    flat = Isotopy(edge_perms[("leaf", j)] for j in range(n + 1))
-    return new_tree, flat
+    flat = Isotopy(edge_perms[("leaf", j)] for j in range(struct.arity + 1))
+    return _apply_edge_isotopy(struct, edge_perms), flat
 
 
-def _apply_edge_isotopy(t: Tree, struct: "_Structure", perms: dict[EdgeKey, Perm]) -> Tree:
-    def rebuild(sub: Tree, node_id_counter: list[int]) -> Tree:
-        if isinstance(sub, Leaf):
-            return sub
-        node_id = node_id_counter[0]
-        node_id_counter[0] += 1
-        info = struct.infos[node_id]
-        slot_perms = [perms.get(struct.edge_key(node_id, s), IDENTITY)
-                      for s in range(len(info.slots))]
-        new_label = sub.label.isotope(Isotopy(slot_perms))
-        new_children = tuple(rebuild(c, node_id_counter) for c in sub.children)
-        return Node(new_label, new_children)
+def _apply_edge_isotopy(struct: "_Structure", perms: dict[EdgeKey, Perm]) -> Tree:
+    """The tree with each label moved by the permutations on its edges, in preorder."""
+    def rebuild(u: int) -> Node:
+        info = struct.infos[u]
+        label = info.label.isotope(_node_isotopy(info, perms))
+        return Node(label, tuple(Leaf(ref) if kind == "leaf" else rebuild(ref)
+                                 for kind, ref in info.slots[1:]))
 
-    return rebuild(t, [0])
+    return rebuild(0)
 
 
 # ---------------------------------------------------------------------------
@@ -442,57 +409,51 @@ def _apply_edge_isotopy(t: Tree, struct: "_Structure", perms: dict[EdgeKey, Perm
 
 @dataclass(frozen=True)
 class _NodeInfo:
-    node_id: int
-    path: tuple[int, ...]
     label: Quasigroup
     depth: int
     parent: int | None
-    slots: tuple[tuple[str, int], ...]  # slot 0 faces the parent (or x_0)
+    slots: tuple[EdgeKey, ...]  # slot 0 faces the parent (or x_0)
 
 
 class _Structure:
-    """Unrooted view of a tree: nodes, slots, leaf attachments, edge keys."""
+    """Unrooted view of a validated tree, nodes numbered in preorder.
 
-    def __init__(self, infos: list[_NodeInfo], arity: int):
-        self.infos = infos
-        self.arity = arity
-        self.leaf_at: dict[int, tuple[int, int]] = {}
-        for info in infos:
-            for slot, (kind, ref) in enumerate(info.slots):
-                if kind == "leaf":
-                    self.leaf_at[ref] = (info.node_id, slot)
+    Each slot holds the key of its edge: ("leaf", v) for the leaf x_v, and
+    ("node", u) for the edge between node u and its parent, so slot 0 of a
+    non-root node u holds ("node", u) and slot 0 of the root ("leaf", 0).
+    """
 
-    def edge_key(self, node_id: int, slot: int) -> EdgeKey:
-        kind, ref = self.infos[node_id].slots[slot]
-        if kind == "leaf":
-            return ("leaf", ref)
-        if slot == 0:
-            return ("node", node_id)
-        return ("node", ref)
+    def __init__(self, t: Tree):
+        self.arity = validate_tree(t)
+        self.infos: list[_NodeInfo] = []
+        self.leaf_at: dict[int, tuple[int, int]] = {}  # var -> (node, slot)
+        self._walk(t, 0, None)
 
-    def slot_of_edge(self, node_id: int, key: EdgeKey) -> int:
-        for slot in range(len(self.infos[node_id].slots)):
-            if self.edge_key(node_id, slot) == key:
-                return slot
-        raise KeyError(f"edge {key} is not incident to node {node_id}")
+    def _walk(self, sub: Node, depth: int, parent: int | None) -> int:
+        u = len(self.infos)
+        self.infos.append(None)  # reserve the id; children get later ids
+        slots: list[EdgeKey] = [("leaf", 0) if parent is None else ("node", u)]
+        for child in sub.children:
+            if isinstance(child, Leaf):
+                slots.append(("leaf", child.var))
+            else:
+                slots.append(("node", self._walk(child, depth + 1, u)))
+        for slot, (kind, ref) in enumerate(slots):
+            if kind == "leaf":
+                self.leaf_at[ref] = (u, slot)
+        self.infos[u] = _NodeInfo(sub.label, depth, parent, tuple(slots))
+        return u
 
-    def all_edges(self) -> list[EdgeKey]:
-        out: list[EdgeKey] = [("leaf", v) for v in range(self.arity + 1)]
-        out.extend(("node", info.node_id) for info in self.infos if info.parent is not None)
-        return out
+    def degree(self, u: int) -> int:
+        return len(self.infos[u].slots)
 
-    def degree(self, node_id: int) -> int:
-        return len(self.infos[node_id].slots)
+    def leaf_count(self, u: int) -> int:
+        return sum(1 for kind, _ in self.infos[u].slots if kind == "leaf")
 
-    def leaf_count(self, node_id: int) -> int:
-        return sum(1 for kind, _ in self.infos[node_id].slots if kind == "leaf")
-
-    def node_neighbors(self, node_id: int) -> list[int]:
-        out = []
-        for slot, (kind, ref) in enumerate(self.infos[node_id].slots):
-            if kind == "node":
-                out.append(self.infos[node_id].parent if slot == 0 else ref)
-        return out
+    def node_neighbors(self, u: int) -> list[int]:
+        info = self.infos[u]
+        return [info.parent if ref == u else ref
+                for kind, ref in info.slots if kind == "node"]
 
     def node_path(self, a: int, b: int) -> list[int]:
         """Nodes on the unique tree path from node a to node b, inclusive."""
@@ -512,31 +473,6 @@ class _Structure:
         return up_a + up_b[-2::-1]
 
 
-def _structure(t: Tree) -> _Structure:
-    arity = validate_tree(t)
-    infos: list[_NodeInfo] = []
-
-    def walk(sub: Node, path: tuple[int, ...], depth: int, parent: int | None) -> int:
-        node_id = len(infos)
-        infos.append(None)  # reserve the slot; children get later ids
-        slots: list[tuple[str, int]] = [("leaf", 0) if parent is None else ("node", parent)]
-        child_ids: list[tuple[str, int]] = []
-        for k, child in enumerate(sub.children):
-            if isinstance(child, Leaf):
-                child_ids.append(("leaf", child.var))
-            else:
-                child_ids.append(("node", walk(child, path + (k,), depth + 1, node_id)))
-        slots.extend(child_ids)
-        infos[node_id] = _NodeInfo(
-            node_id=node_id, path=path, label=sub.label, depth=depth,
-            parent=parent, slots=tuple(slots))
-        return node_id
-
-    assert isinstance(t, Node)
-    walk(t, (), 0, None)
-    return _Structure(infos, arity)
-
-
 @dataclass(frozen=True)
 class TreeStats:
     """Counts of the unrooted tree driving the structural lower bound."""
@@ -549,7 +485,6 @@ class TreeStats:
     n_bunches: int
     n_bald_bunches: int
     bunch_members: tuple[frozenset[int], ...]
-    bunch_graph_edges: tuple[tuple[int, int], ...]
 
     @property
     def structural_exponent(self) -> int:
@@ -557,7 +492,7 @@ class TreeStats:
                 + self.n_bald_bunches + self.n_forks)
 
 
-def _bunches(struct: _Structure) -> tuple[list[frozenset[int]], list[tuple[int, int]]]:
+def _bunches(struct: _Structure) -> list[frozenset[int]]:
     """Components of the graph joining the two node-neighbors of each bridge."""
     parent = list(range(len(struct.infos)))
 
@@ -567,35 +502,31 @@ def _bunches(struct: _Structure) -> tuple[list[frozenset[int]], list[tuple[int, 
             x = parent[x]
         return x
 
-    edges = []
-    for info in struct.infos:
-        if struct.degree(info.node_id) == 3 and struct.leaf_count(info.node_id) == 1:
-            u, v = struct.node_neighbors(info.node_id)
-            edges.append((min(u, v), max(u, v)))
-            parent[find(u)] = find(v)
+    for u in range(len(struct.infos)):
+        if struct.degree(u) == 3 and struct.leaf_count(u) == 1:
+            a, b = struct.node_neighbors(u)
+            parent[find(a)] = find(b)
     groups: dict[int, set[int]] = {}
-    for info in struct.infos:
-        groups.setdefault(find(info.node_id), set()).add(info.node_id)
+    for u in range(len(struct.infos)):
+        groups.setdefault(find(u), set()).add(u)
     members = [frozenset(g) for g in groups.values()]
     members.sort(key=min)
-    return members, sorted(set(edges))
+    return members
 
 
-def tree_stats(t: Tree) -> TreeStats:
-    """Leaf/node/bald/bridge/fork/bunch counts on the unrooted view."""
-    struct = _structure(t)
+def _stats(struct: _Structure) -> TreeStats:
     n_nodes = len(struct.infos)
-    n_bald = sum(1 for i in struct.infos if struct.leaf_count(i.node_id) == 0)
+    n_bald = sum(1 for u in range(n_nodes) if struct.leaf_count(u) == 0)
     n_bridges = 0
     n_forks = 0
-    for info in struct.infos:
-        if struct.degree(info.node_id) == 3:
-            leaves_here = struct.leaf_count(info.node_id)
+    for u in range(n_nodes):
+        if struct.degree(u) == 3:
+            leaves_here = struct.leaf_count(u)
             if leaves_here == 1:
                 n_bridges += 1
             elif leaves_here == 2:
                 n_forks += 1
-    members, edges = _bunches(struct)
+    members = _bunches(struct)
     bald_bunches = 0
     for group in members:
         if all(struct.leaf_count(u) == 0 for u in group):
@@ -609,8 +540,12 @@ def tree_stats(t: Tree) -> TreeStats:
         n_bunches=len(members),
         n_bald_bunches=bald_bunches,
         bunch_members=tuple(members),
-        bunch_graph_edges=tuple(edges),
     )
+
+
+def tree_stats(t: Tree) -> TreeStats:
+    """Leaf/node/bald/bridge/fork/bunch counts on the unrooted view."""
+    return _stats(_Structure(t))
 
 
 def lower_bound_predict(stats: TreeStats) -> int:
@@ -647,28 +582,18 @@ class EdgeIsotopy:
         """Restriction to the leaf edges: an isotopy of the represented quasigroup."""
         return Isotopy(self.perm_at(("leaf", j)) for j in range(self.arity + 1))
 
-    def support(self) -> frozenset[EdgeKey]:
-        return frozenset(k for k, p in self.perms.items() if not p.is_identity)
 
-    def __mul__(self, other: "EdgeIsotopy") -> "EdgeIsotopy":
-        keys = set(self.perms) | set(other.perms)
-        return EdgeIsotopy(
-            self.arity, {k: self.perm_at(k) * other.perm_at(k) for k in keys},
-            origin=None)
+def _node_isotopy(info: _NodeInfo, perms: dict[EdgeKey, Perm]) -> Isotopy:
+    return Isotopy(perms.get(key, IDENTITY) for key in info.slots)
 
 
-def _node_isotopy(struct: _Structure, node_id: int, perms: dict[EdgeKey, Perm]) -> Isotopy:
-    info = struct.infos[node_id]
-    return Isotopy(
-        perms.get(struct.edge_key(node_id, s), IDENTITY) for s in range(len(info.slots)))
+def _fixes_labels(struct: _Structure, perms: dict[EdgeKey, Perm]) -> bool:
+    return all(is_autotopy(info.label, _node_isotopy(info, perms)) for info in struct.infos)
 
 
 def is_decomposition_autotopy(t: Tree, edge_iso: EdgeIsotopy) -> bool:
     """True iff the edge permutations fix every node label in place."""
-    struct = _structure(t)
-    return all(
-        is_autotopy(info.label, _node_isotopy(struct, info.node_id, edge_iso.perms))
-        for info in struct.infos)
+    return _fixes_labels(_Structure(t), edge_iso.perms)
 
 
 def _bunch_partition(struct: _Structure, members: frozenset[int]) -> PairPartition:
@@ -685,24 +610,22 @@ def _bunch_partition(struct: _Structure, members: frozenset[int]) -> PairPartiti
 
 
 def _bridge_leaf_transposition(
-    struct: _Structure, node_id: int, path_keys: set[EdgeKey], xi: Perm
+    info: _NodeInfo, path_keys: set[EdgeKey], xi: Perm
 ) -> tuple[EdgeKey, Perm]:
     """The native transposition completing (xi, xi) to an autotopy of a bridge."""
-    info = struct.infos[node_id]
-    leaf_slots = [s for s, (kind, _r) in enumerate(info.slots) if kind == "leaf"]
-    assert len(leaf_slots) == 1, "a path node outside the bunch must be a bridge"
-    leaf_key = struct.edge_key(node_id, leaf_slots[0])
+    leaf_keys = [key for key in info.slots if key[0] == "leaf"]
+    assert len(leaf_keys) == 1, "a path node outside the bunch must be a bridge"
     partition = semilinear_profile(info.label).uniform_partition()
     assert partition is not None
     hits = []
     for tau in native_elements(partition).transpositions:
-        trial = {k: xi for k in path_keys}
-        trial[leaf_key] = tau
-        if is_autotopy(info.label, _node_isotopy(struct, node_id, trial)):
+        trial = {k: xi for k in info.slots if k in path_keys}
+        trial[leaf_keys[0]] = tau
+        if is_autotopy(info.label, _node_isotopy(info, trial)):
             hits.append(tau)
     if len(hits) != 1:
         raise AssertionError("exactly one native transposition must complete a bridge")
-    return leaf_key, hits[0]
+    return leaf_keys[0], hits[0]
 
 
 def _leaf_path_edges(struct: _Structure, x: int, y: int):
@@ -729,15 +652,15 @@ def structural_autotopies(t: Tree) -> list[EdgeIsotopy]:
     """
     if not is_reduced(t):
         raise ValueError("structural autotopies need a reduced tree")
-    struct = _structure(t)
-    stats = tree_stats(t)
+    struct = _Structure(t)
+    members = _bunches(struct)
     member_bunch: dict[int, int] = {}
-    for b, group in enumerate(stats.bunch_members):
+    for b, group in enumerate(members):
         for u in group:
             member_bunch[u] = b
 
     out: list[EdgeIsotopy] = []
-    for b, group in enumerate(stats.bunch_members):
+    for b, group in enumerate(members):
         leaves = sorted(
             v for v, (u, _s) in struct.leaf_at.items() if u in group)
         if len(leaves) < 2:
@@ -747,38 +670,31 @@ def structural_autotopies(t: Tree) -> list[EdgeIsotopy]:
         for y in leaves[1:]:
             keys, nodes = _leaf_path_edges(struct, x, y)
             perms: dict[EdgeKey, Perm] = {k: xi for k in keys}
-            key_set = set(keys)
             for u in nodes:
                 if member_bunch[u] != b:
-                    incident = {
-                        struct.edge_key(u, s) for s in range(struct.degree(u))}
-                    leaf_key, tau = _bridge_leaf_transposition(
-                        struct, u, incident & key_set, xi)
+                    leaf_key, tau = _bridge_leaf_transposition(struct.infos[u], set(keys), xi)
                     perms[leaf_key] = tau
             out.append(EdgeIsotopy(struct.arity, perms,
                                    origin=("bunch-path", b, x, y)))
 
-    for info in struct.infos:
-        if struct.degree(info.node_id) == 3 and struct.leaf_count(info.node_id) == 2:
+    for u, info in enumerate(struct.infos):
+        if struct.degree(u) == 3 and struct.leaf_count(u) == 2:
             partition = semilinear_profile(info.label).uniform_partition()
             assert partition is not None
             cycles = native_elements(partition).cycles
-            leaf_keys = [
-                struct.edge_key(info.node_id, s)
-                for s, (kind, _r) in enumerate(info.slots) if kind == "leaf"]
+            leaf_keys = [key for key in info.slots if key[0] == "leaf"]
             found = []
-            origin = ("fork-cycles", member_bunch[info.node_id], info.node_id)
+            origin = ("fork-cycles", member_bunch[u], u)
             for c1, c2 in itertools.product(cycles, repeat=2):
                 trial = {leaf_keys[0]: c1, leaf_keys[1]: c2}
-                if is_autotopy(info.label,
-                               _node_isotopy(struct, info.node_id, trial)):
+                if is_autotopy(info.label, _node_isotopy(info, trial)):
                     found.append(EdgeIsotopy(struct.arity, trial, origin=origin))
             if len(found) != 2:
                 raise AssertionError("a fork must admit exactly two cycle autotopies")
             out.extend(found)
 
     for edge_iso in out:
-        if not is_decomposition_autotopy(t, edge_iso):
+        if not _fixes_labels(struct, edge_iso.perms):
             raise AssertionError("structural candidate failed node verification")
     return out
 
@@ -810,17 +726,17 @@ def minimality_conditions(t: Tree) -> MinimalityReport:
     from .autotopy import are_isotopic
     from .construct import shifted_linear
 
-    struct = _structure(t)
-    stats = tree_stats(t)
-    degrees = [struct.degree(i.node_id) for i in struct.infos]
-    balds = [i.node_id for i in struct.infos if struct.leaf_count(i.node_id) == 0]
+    struct = _Structure(t)
+    stats = _stats(struct)
+    degrees = [struct.degree(u) for u in range(len(struct.infos))]
+    balds = [u for u in range(len(struct.infos)) if struct.leaf_count(u) == 0]
     single_nonbald = all(
         sum(1 for u in group if struct.leaf_count(u) > 0) <= 1
         for group in stats.bunch_members)
     reference = shifted_linear(3)
     degree4_ok = all(
-        are_isotopic(struct.infos[i].label, reference) is not None
-        for i in range(len(struct.infos)) if degrees[i] == 4)
+        are_isotopic(struct.infos[u].label, reference) is not None
+        for u in range(len(struct.infos)) if degrees[u] == 4)
     return MinimalityReport(
         no_high_degree=all(d <= 4 for d in degrees),
         no_forks=stats.n_forks == 0,
@@ -900,6 +816,8 @@ def doc_to_tree(doc) -> Tree:
     k = len(children)
     if k < 2:
         raise FormatError("a node needs at least two children")
+    if not isinstance(doc["table"], str):
+        raise FormatError("a node's table is a string of digits")
     label = Quasigroup.from_digits(k, doc["table"])
     return Node(label, children)
 

@@ -239,6 +239,12 @@ class TestExitCodes:
         path.write_text(qg4_text(linear(3)))
         self.assert_reported(["isotopic", z4_file, str(path)], capsys)
 
+    def test_tree_table_not_a_string(self, tmp_path, z4_file, capsys):
+        path = tmp_path / "t.json"
+        for table in (5, list("0123123023013012")):
+            path.write_text(json.dumps({"table": table, "children": [{"var": 1}, {"var": 2}]}))
+            self.assert_reported(["verify", z4_file, "--tree", str(path)], capsys)
+
 
 class TestParserReuse:
     """The parser is built once and reused across calls."""

@@ -1,5 +1,6 @@
 import io
 import itertools
+import json
 import logging
 import random
 
@@ -520,6 +521,9 @@ class TestSerialization:
                      '[{"var": 1}, {"var": 3}]}',      # leaf vars not 1..n
                      '{"table": "0123123023013012", "children": '
                      '[{"var": true}, {"var": 2}]}',   # bool is an int, not a var
+                     '{"table": 5, "children": [{"var": 1}, {"var": 2}]}',
+                     '{"table": ' + json.dumps(list("0123123023013012"))
+                     + ', "children": [{"var": 1}, {"var": 2}]}',  # not a string
                      'not json'):
             with pytest.raises(FormatError):
                 loads_tree(text)
