@@ -5,18 +5,25 @@ isotopy through the sections at the all-zero anchor and at the target, so an
 autotopy is named by its target and the rank of theta_0 among the six
 candidates there: a dense index of 6 * 4^n entries.  Candidates are uint8 rows
 of permutation indices, built for a block of targets by one index-arithmetic
-pass; two rounds of fixed probe cells reject most wrong ones, and a survivor
-is a hit only once it holds on the whole table.
+pass; a block too large for one full-table check block first meets two
+rounds of fixed probe cells, which reject most wrong candidates, and a
+candidate is a hit only once it holds on the whole table.
 
 |Atp(f)| = |orbit of the anchor| * |stabilizer|.  The search verifies the
 candidates at the anchor first, so the subgroup H it grows always holds the
 stabilizer, and every autotopy whose target lies in H's orbit of the anchor is
-in H already.  The other targets are swept in order and those in H's orbit are
-skipped; each hit outside H becomes a generator, and H grows by its new right
-cosets, with membership a bool array over the dense index.  The same
-candidates between two quasigroups decide isotopy at the first hit.  Greedy
-generators grow their subgroups the same way over the key-sorted rows,
-indexed by position.
+in H already.  The other targets are taken lazily in flat order, in blocks of
+the next 1, 2, 4, ... targets outside H's orbit, back to one after a block
+that adds a generator; each hit outside H becomes a generator, and H grows by
+its new right cosets, with membership a bool array over the dense index.
+Once a block after the anchor adds no generator, targets are also pruned by
+their 2-D sections: an isotopy maps the (i, j)-section through the anchor
+onto an isotopic one through its target, and an order-4 Latin square is of
+Z4 or of Klein type.  A target outside H's final orbit was pruned or had all
+its candidates rejected, so orbit(H) = orbit(G) and the group is exact.  The
+same candidates and the same filter between two quasigroups decide isotopy
+at the first hit.  Greedy generators grow their subgroups the same way over
+the key-sorted rows, indexed by position.
 """
 
 from __future__ import annotations
@@ -67,16 +74,19 @@ _RANK[np.arange(ORDER)[:, None, None], _FIXING] = np.arange(6)
 _ROW_W = np.array([64, 16, 4, 1])  # an image row read as a base-4 number
 _ROW_PERM = np.zeros(256, dtype=np.uint8)
 _ROW_PERM[_IMG @ _ROW_W] = np.arange(len(PERMS))
+_PACKED = (_IMG << 2 * np.arange(ORDER, dtype=np.uint8)).sum(axis=1, dtype=np.uint8)  # images, 2 bits each
 _WEIGHTS = 4 ** np.arange(MAX_ARITY - 1, -1, -1, dtype=np.int32)  # flat-index weights
 _KEY_W = 24 ** np.arange(MAX_ARITY, -1, -1, dtype=np.int64)  # base-24 row keys
+# _INVOLUTION_QUOTIENT[24 * p + r]: p o r^-1 is an involution.
+_INVOLUTION_QUOTIENT = np.array([p.order() == 2 for p in PERMS])[_MUL_A[:, _INV_A]].ravel()
 
 
 class _Elements(Sequence):
-    """Key-sorted group elements held as rows of permutation indices; the
-    Isotopy objects are built when the elements are first read."""
+    """Key-sorted group elements held as rows of permutation indices, with
+    their keys; the Isotopy objects are built when the elements are first read."""
 
-    def __init__(self, rows: np.ndarray):
-        self.rows = rows
+    def __init__(self, rows: np.ndarray, keys: np.ndarray):
+        self.rows, self.keys = rows, keys
 
     @functools.cached_property
     def _items(self) -> tuple[Isotopy, ...]:
@@ -179,12 +189,9 @@ def propagate(q: Quasigroup, target: tuple[int, ...], theta0: Perm) -> Isotopy |
 
 def _sections(flat: np.ndarray, n: int, cells: np.ndarray) -> np.ndarray:
     """Permutation indices (len(cells), n) of the sections through flat cells."""
-    out = np.empty((len(cells), n), dtype=np.uint8)
-    for i in range(n):
-        w = 4 ** (n - 1 - i)
-        base = cells - (cells // w % 4) * w
-        out[:, i] = _ROW_PERM[flat[base[:, None] + w * np.arange(ORDER)] @ _ROW_W]
-    return out
+    w = _WEIGHTS[-n:]
+    base = cells[:, None] - cells[:, None] // w % 4 * w  # the cell with digit i zeroed
+    return _ROW_PERM[flat[base[:, :, None] + w[:, None] * np.arange(ORDER)] @ _ROW_W]
 
 
 @functools.lru_cache(maxsize=None)
@@ -207,14 +214,18 @@ class _Candidates:
         n = self.n = source.arity
         if constraint.arity != n:
             raise ArityError("arity mismatch")
-        self.src, self.con = source.table.ravel(), constraint.table.ravel()
+        self.src = source.table.ravel()
+        self.con = self.src if constraint is source else constraint.table.ravel()
         self.con_zero = _sections(self.con, n, np.zeros(1, dtype=np.intp))[0]
+        self.shifts = np.left_shift(self.con, 1)  # theta_0's image of v sits at bit 2v
         self.per_check = 4 ** max(0, CHECK_AXES - n)  # candidates per check block
         self.rounds = [(terms, _IMG[:, self.con[cells]]) for cells, terms in _probes(n)]
 
-    def probed(self, targets: np.ndarray) -> np.ndarray:
-        """The candidate rows at `targets` that hold on every probe cell, in sweep
-        order: target flat index, then theta_0 in lexicographic order."""
+    def block(self, targets: np.ndarray) -> np.ndarray:
+        """The candidate rows at `targets` worth a full-table check, in sweep order:
+        target flat index, then theta_0 in lexicographic order.  All six per
+        target when they fit in one check block, else those that hold on every
+        probe cell."""
         n, src = self.n, self.src
         theta0 = _FIXING[self.con[0]][src[targets]]
         rows = np.empty((len(targets), 6, n + 1), dtype=np.uint8)
@@ -222,6 +233,8 @@ class _Candidates:
         inv = _INV_A[_sections(src, n, targets)]
         rows[:, :, 1:] = _MUL_A[_MUL_A[inv[:, None, :], theta0[:, :, None]], self.con_zero]
         rows = rows.reshape(-1, n + 1)
+        if len(rows) <= self.per_check:
+            return rows
         for terms, lhs in self.rounds:
             flat = sum(axis[rows[:, i]] for i, axis in enumerate(terms, 1))
             rows = rows[(np.take(src, flat) == lhs[rows[:, 0]]).all(axis=1)]
@@ -232,19 +245,51 @@ class _Candidates:
         leading axes outside one check block are walked one value at a time."""
         n, head = self.n, max(0, self.n - CHECK_AXES)
         moved = _IMG[rows[:, 1:]].astype(np.int32) * _WEIGHTS[-n:, None]  # (B, n, 4)
-        offsets = moved[:, head]
-        for i in range(head + 1, n):  # the width is explicit: there may be no rows
-            offsets = offsets[:, :, None] + moved[:, i, None, :]
-            offsets = offsets.reshape(len(rows), 4 ** (i - head + 1))
-        theta0, span = rows[:, :1].astype(np.int32) * ORDER, offsets.shape[1]
+        offsets = moved[:, -1]
+        for i in range(n - 2, head - 1, -1):  # the long axis last; there may be no rows
+            offsets = (moved[:, i, :, None] + offsets[:, None, :]).reshape(len(rows), 4 ** (n - i))
+        codes, span = _PACKED[rows[:, :1]], offsets.shape[1]
         ok = np.ones(len(rows), dtype=bool)
         for h in range(4**head):
             flat = offsets
             for i in range(head):  # the leading digits of slab h shift every offset
                 flat = flat + moved[:, i, None, h >> 2 * (head - 1 - i) & 3]
-            lhs = np.take(_IMG, theta0 + self.con[h * span:(h + 1) * span])
-            ok &= (np.take(self.src, flat) == lhs).all(axis=1)
+            lhs = np.right_shift(codes, self.shifts[h * span:(h + 1) * span])  # theta_0(con)
+            ok &= (np.take(self.src, flat) == np.bitwise_and(lhs, 3, out=lhs)).all(axis=1)
         return ok
+
+    def matching(self) -> np.ndarray:
+        """Mask of the targets whose 2-D sections have the classes of the
+        constraint's sections through the anchor, axis pair by axis pair.  An
+        isotopy maps the (i, j)-section through the anchor onto an isotopic
+        (i, j)-section through its target, and isotopy keeps the class."""
+        n, keep = self.n, np.ones(4**self.n, dtype=bool)
+        mine = _klein(self.src, n)
+        theirs = mine if self.con is self.src else _klein(self.con, n)
+        for (i, j, klein), (_, _, anchor) in zip(mine, theirs):
+            view = keep.reshape(4**i, 4, 4 ** (j - 1 - i), 4, -1)
+            view &= (klein == anchor.flat[0]).reshape(4**i, 1, 4 ** (j - 1 - i), 1, -1)
+        return keep
+
+
+def _klein(flat: np.ndarray, n: int) -> list[tuple[int, int, np.ndarray]]:
+    """For each axis pair i < j, whether the (i, j)-section through each point
+    is Klein-type, as a bool array over the other axes in flat order.
+
+    A Latin square of order 4 is isotopic to the table of the Klein group or
+    of Z4, and of its row quotients row_r o row_0^-1 (r = 1, 2, 3) three or
+    one are involutions: it is Klein-type iff the first two are.  Each axis's
+    lines are read once as permutation indices; row r of the (i, j)-section
+    is the j-line at x_i = r."""
+    out = []
+    for j in range(1, n):
+        t = flat.reshape(4**j, 4, -1)  # base-4 digits of a line fit in a uint8
+        lines = _ROW_PERM[t[:, 0] * 64 + t[:, 1] * 16 + t[:, 2] * 4 + t[:, 3]].astype(np.intp)
+        for i in range(j):
+            r = lines.reshape(4**i, 4, -1)
+            out.append((i, j, _INVOLUTION_QUOTIENT[24 * r[:, 1] + r[:, 0]]
+                        & _INVOLUTION_QUOTIENT[24 * r[:, 2] + r[:, 0]]))
+    return out
 
 
 def _targets(rows: np.ndarray) -> np.ndarray:
@@ -252,13 +297,14 @@ def _targets(rows: np.ndarray) -> np.ndarray:
     return _ZERO_IMG[rows[:, 1:]] @ _WEIGHTS[1 - rows.shape[1]:]
 
 
-def _blocks(n: int):
-    """Target blocks in sweep order: the anchor's target alone, then 64 targets,
-    doubling up to TARGET_BLOCK, so that early hits cost little."""
-    lo, size = 0, 1
-    while lo < 4**n:
-        yield np.arange(lo, min(lo + size, 4**n))
-        lo, size = lo + size, min(max(64, 2 * size), TARGET_BLOCK)
+def _next_targets(open_: np.ndarray, start: int, size: int) -> np.ndarray:
+    """The first `size` open targets at or after `start`, in flat order."""
+    width = size
+    while True:
+        found = np.flatnonzero(open_[start:start + width])
+        if len(found) >= size or start + width >= len(open_):
+            return start + found[:size]
+        width *= 4
 
 
 def _autotopies(q: Quasigroup) -> np.ndarray:
@@ -269,45 +315,59 @@ def _autotopies(q: Quasigroup) -> np.ndarray:
     def index(rows):  # the dense index: 6 * target + the rank of theta_0 there
         return 6 * _targets(rows) + _RANK[c0, rows[:, 0]]
 
-    member, orbit = np.zeros(6 * 4**n, dtype=bool), np.zeros(4**n, dtype=bool)
+    member = np.zeros(6 * 4**n, dtype=bool)
+    open_ = np.ones(4**n, dtype=bool)  # targets neither swept, in H's orbit nor pruned
     known, gens = np.zeros((1, n + 1), dtype=np.uint8), np.empty((0, n + 1), dtype=np.uint8)
     member[index(known)] = True  # H starts as the identity
-    rejected = skipped = checks = hits = 0
-    for b, targets in enumerate(_blocks(n)):
-        inside = orbit[targets]
-        skipped, targets = skipped + 6 * inside.sum(), targets[~inside]
-        rows = cand.probed(targets)
-        rejected += 6 * len(targets) - len(rows)
-        # Check chunks double, and start again at one after each new generator.  The
-        # anchor's candidates go in one chunk: the whole stabilizer is in H before
-        # the anchor counts as in H's orbit, or stabilizer elements would be skipped.
-        size = 1 if b else len(rows)
+    pruned = swept = rejected = skipped = checks = hits = 0
+    start, size, pruning = 0, 1, False
+    while len(targets := _next_targets(open_, start, size)):
+        start, before = int(targets[-1]) + 1, len(gens)
+        rows = cand.block(targets)
+        swept, rejected = swept + len(targets), rejected + 6 * len(targets) - len(rows)
+        # The anchor's candidates go in one chunk: the whole stabilizer is in H
+        # before the anchor counts as in H's orbit, or stabilizer elements would
+        # be skipped.
+        chunk = len(rows) if targets[0] == 0 else cand.per_check
         while len(rows):
-            outside = ~orbit[_targets(rows)]
+            outside = open_[_targets(rows)]
             skipped, rows = skipped + len(rows) - outside.sum(), rows[outside]
-            chunk, rows, size = rows[:size], rows[size:], min(2 * size, cand.per_check)
-            checks += len(chunk)
-            found = chunk[cand.verify(chunk)]
+            found, rows = rows[:chunk], rows[chunk:]
+            checks += len(found)
+            found = found[cand.verify(found)]
             hits += len(found)
             while len(found := found[~member[index(found)]]):  # the first hit outside H
                 gens = np.concatenate([gens, found[:1]])
                 grown = _extend(known, gens, index, member)
-                orbit[_targets(grown)] = True
-                known, size = np.concatenate([known, grown]), 1
-    _log.debug("sweep: arity %d, %d candidates, %d probe survivors, %d skipped in the orbit, "
-               "%d full-table checks, %d hits, %d generators, order %d", n, 6 * 4**n,
-               6 * 4**n - rejected, skipped, checks, hits, len(gens), len(known))
+                open_[_targets(grown)] = False
+                known = np.concatenate([known, grown])
+        size = 1 if len(gens) > before else min(2 * size, TARGET_BLOCK)
+        if not pruning and targets[0] and len(gens) == before:
+            # Only now are the section classes worth computing: a transitive
+            # group adds a generator at every block until its orbit is complete.
+            pruning, unmatched = True, ~cand.matching()
+            unmatched[:start] = False
+            pruned = int((unmatched & open_).sum())
+            open_ &= ~unmatched
+    skipped += 6 * (4**n - swept - pruned)  # the targets never swept lie in the orbit
+    _log.debug("sweep: arity %d, %d candidates, %d targets pruned, %d probe survivors, "
+               "%d skipped in the orbit, %d full-table checks, %d hits, %d generators, order %d",
+               n, 6 * 4**n, pruned, 6 * 4**n - 6 * pruned - rejected, skipped, checks, hits,
+               len(gens), len(known))
     return known[np.argsort(index(known))]
 
 
 def _first_isotopy(q1: Quasigroup, q2: Quasigroup) -> np.ndarray:
     """The first row theta, in sweep order, with theta_0 * q2 = q1(theta_1 ., ...),
-    or no row."""
+    or no row.  After the first target, only targets whose sections match q2's
+    at the anchor are swept; the others carry no such theta."""
     cand, n = _Candidates(q1, q2), q1.arity
     candidates = survivors = checks = 0
     hit = np.empty((0, n + 1), dtype=np.uint8)
-    for targets in _blocks(n):
-        rows = cand.probed(targets)
+    open_ = np.ones(4**n, dtype=bool)
+    start, size = 0, 1
+    while not len(hit) and len(targets := _next_targets(open_, start, size)):
+        rows = cand.block(targets)
         candidates, survivors = candidates + 6 * len(targets), survivors + len(rows)
         for s in range(0, len(rows), cand.per_check):
             block = rows[s:s + cand.per_check]
@@ -315,8 +375,9 @@ def _first_isotopy(q1: Quasigroup, q2: Quasigroup) -> np.ndarray:
             hit = block[cand.verify(block)][:1]
             if len(hit):
                 break
-        if len(hit):
-            break
+        if not start and not len(hit):
+            open_ &= cand.matching()
+        start, size = int(targets[-1]) + 1, min(2 * size, TARGET_BLOCK)
     _log.debug("isotopy search: arity %d, %d candidates, %d probe survivors, "
                "%d full-table checks, %d hits", n, candidates, survivors, checks, len(hit))
     return hit
@@ -338,9 +399,11 @@ def _sweep(q: Quasigroup) -> np.ndarray:
 def _group(rows: np.ndarray) -> AutotopyGroup:
     """Group record of a closed element set: lexicographic elements, greedy
     generators, elements kept when the order is within MATERIALIZE_LIMIT."""
-    rows = rows[np.argsort(_keys(rows))]
-    gens = tuple(greedy_generators(rows))
-    keep = _Elements(rows) if len(rows) <= MATERIALIZE_LIMIT else None
+    keys = _keys(rows)
+    order = np.argsort(keys)
+    elements = _Elements(rows[order], keys[order])
+    gens = tuple(greedy_generators(elements))
+    keep = elements if len(rows) <= MATERIALIZE_LIMIT else None
     return AutotopyGroup(order=len(rows), generators=gens, elements=keep)
 
 
@@ -456,12 +519,15 @@ def greedy_generators(elements) -> list[Isotopy]:
     permutation indices) in lexicographic order.  Each generator taken
     extends the known subgroup by its new right cosets; elements are indexed
     by their position in key order."""
-    rows = elements if isinstance(elements, np.ndarray) else _to_rows(elements)
-    if not len(rows):
-        return []
-    keys = _keys(rows)
-    order = np.argsort(keys)
-    rows, keys = rows[order], keys[order]
+    if isinstance(elements, _Elements):  # key-sorted already
+        rows, keys = elements.rows, elements.keys
+    else:
+        rows = elements if isinstance(elements, np.ndarray) else _to_rows(elements)
+        if not len(rows):
+            return []
+        keys = _keys(rows)
+        order = np.argsort(keys)
+        rows, keys = rows[order], keys[order]
 
     def index(r):
         k = _keys(r)

@@ -100,7 +100,8 @@ def _build_report(q: Quasigroup, cap: int) -> dict:
     group = atp.autotopy_group(q, cap=cap)
     profile = semilinear_profile(q)
     linear = profile.is_linear
-    reducible = q.arity >= 3 and dec.find_split(q) is not None
+    full = dec.full_decomposition(q) if q.arity >= 2 else None
+    reducible = q.arity >= 3 and len(list(dec.iter_nodes(full))) > 1
     report = {
         "arity": q.arity,
         "latin": True,
@@ -114,8 +115,8 @@ def _build_report(q: Quasigroup, cap: int) -> dict:
         "tree": None,
         "stats": None,
     }
-    if q.arity >= 2:
-        reduced, _ = dec.reduce_decomposition(dec.proper_decomposition(q))
+    if full is not None:
+        reduced, _ = dec.reduce_decomposition(dec.merge_coherent(full))
         report["tree"] = dec.tree_to_doc(reduced)
         report["stats"] = _stats_doc(dec.tree_stats(reduced))
     return report

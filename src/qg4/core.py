@@ -365,7 +365,8 @@ class Quasigroup:
         inv = np.empty_like(rows)
         np.put_along_axis(inv, rows.astype(np.intp),
                           np.broadcast_to(np.arange(ORDER, dtype=np.uint8), rows.shape), axis=1)
-        out = np.moveaxis(inv.reshape(moved.shape), -1, i - 1)
+        out = np.ascontiguousarray(np.moveaxis(inv.reshape(moved.shape), -1, i - 1))
+        out.setflags(write=False)  # a fresh array: Quasigroup need not copy it
         return Quasigroup(out, _trusted=True)
 
     # -- isotopy action and composition --------------------------------------
@@ -374,8 +375,9 @@ class Quasigroup:
         """g(x) = theta_0^{-1} f(theta_1 x_1, ..., theta_n x_n)."""
         if theta.arity != self.arity:
             raise ArityError("isotopy arity does not match quasigroup arity")
-        gathered = _gather(self.table, theta.parts[1:])
-        return Quasigroup(_lookup(theta.parts[0].inverse().images, gathered), _trusted=True)
+        out = _lookup(theta.parts[0].inverse().images, _gather(self.table, theta.parts[1:]))
+        out.setflags(write=False)  # a fresh array: Quasigroup need not copy it
+        return Quasigroup(out, _trusted=True)
 
     def compose_at(self, inner: "Quasigroup", pos: int) -> "Quasigroup":
         """Substitute `inner` for argument `pos`, keeping argument order.
@@ -388,6 +390,7 @@ class Quasigroup:
         if self.arity + inner.arity - 1 > MAX_ARITY:
             raise CapError("composed arity exceeds the table cap")
         out = np.take(self.table, inner.table, axis=pos - 1)
+        out.setflags(write=False)  # a fresh array: Quasigroup need not copy it
         return Quasigroup(out, _trusted=True)
 
     # -- the code ------------------------------------------------------------
@@ -416,19 +419,26 @@ class Quasigroup:
 def parse_table(data: bytes | str) -> Quasigroup:
     """Parse the qg4 format: "qg4 <n>\\n<4^n digits>\\n", nothing else.
 
-    The digits of bytes input are read in place, not decoded to text."""
-    if isinstance(data, bytes) and not data.isascii():
-        raise FormatError("qg4 file is not ASCII")
+    The digits of bytes input are read in place, not decoded to text.  The
+    digit check rejects a newline or a non-ASCII byte in the body, so a valid
+    file is not scanned for them; a malformed one is, to name its first fault."""
     newline = "\n" if isinstance(data, str) else b"\n"
-    if data.count(newline) != 2 or not data.endswith(newline):
-        raise FormatError("expected exactly two newline-terminated lines")
     cut = data.find(newline)
-    header = data[:cut] if isinstance(data, str) else data[:cut].decode("ascii")
-    parts = header.split(" ")
-    if len(parts) != 2 or parts[0] != "qg4" or not parts[1].isdigit():
-        raise FormatError(f"malformed header {header!r}; expected 'qg4 <n>'")
-    body = data[cut + 1:-1] if isinstance(data, str) else memoryview(data)[cut + 1:-1]
-    return Quasigroup.from_digits(int(parts[1]), body)
+    try:
+        if cut < 0 or not data.endswith(newline):
+            raise FormatError("expected exactly two newline-terminated lines")
+        header = data[:cut] if isinstance(data, str) else data[:cut].decode("ascii", "replace")
+        parts = header.split(" ")
+        if len(parts) != 2 or parts[0] != "qg4" or not parts[1].isdigit():
+            raise FormatError(f"malformed header {header!r}; expected 'qg4 <n>'")
+        body = data[cut + 1:-1] if isinstance(data, str) else memoryview(data)[cut + 1:-1]
+        return Quasigroup.from_digits(int(parts[1]), body)
+    except FormatError:
+        if isinstance(data, bytes) and not data.isascii():
+            raise FormatError("qg4 file is not ASCII") from None
+        if data.count(newline) != 2 or not data.endswith(newline):
+            raise FormatError("expected exactly two newline-terminated lines") from None
+        raise
 
 
 def qg4_text(q: Quasigroup) -> str:

@@ -309,7 +309,11 @@ def _first_coherent_pair(t: Tree):
 
 def proper_decomposition(q: Quasigroup) -> Tree:
     """Merge coherent pairs of the full decomposition until none remain."""
-    t = full_decomposition(q)
+    return merge_coherent(full_decomposition(q))
+
+
+def merge_coherent(t: Tree) -> Tree:
+    """Merge coherent adjacent pairs, first in breadth-first order, until none remain."""
     while True:
         pair = _first_coherent_pair(t)
         if pair is None:

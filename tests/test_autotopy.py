@@ -2,6 +2,7 @@ import io
 import logging
 import random
 
+import numpy as np
 import pytest
 
 from qg4 import (
@@ -15,6 +16,7 @@ from qg4 import (
     are_isotopic,
     atp_join,
     autotopy_group,
+    chain,
     close_isotopies,
     is_autotopy,
     is_transitive,
@@ -32,7 +34,7 @@ from qg4.autotopy import AutotopyGroup, greedy_generators
 from qg4.construct import ConstructionTSpec, construction_t, random_semilinear_composition
 from qg4.core import PERMS_FIXING
 
-from conftest import random_isotopy
+from conftest import oracle_tables, random_isotopy
 
 
 def P(*cycles):
@@ -400,21 +402,57 @@ class TestBatchedMatchesScalar:
             assert len(autotopy._first_isotopy(q, moved)) == 1
 
 
+class TestSectionPruning:
+    def test_no_group_target_is_pruned(self, monkeypatch):
+        # the search without the filter is the reference; at arity 9 it takes
+        # about a second a table, so those are left out
+        tables = [q for q in oracle_tables() if q.arity <= 8]
+        keeps = [autotopy._Candidates(q, q).matching() for q in tables]
+        pruned = [autotopy._autotopies(q) for q in tables]
+        monkeypatch.setattr(autotopy._Candidates, "matching",
+                            lambda self: np.ones(4**self.n, dtype=bool))
+        for q, keep, rows in zip(tables, keeps, pruned):
+            reference = autotopy._autotopies(q)
+            assert keep[autotopy._targets(reference)].all()
+            assert np.array_equal(rows, reference)
+
+    def test_filter_keeps_exactly_the_orbit(self):
+        q = random_semilinear_composition(5, 100)
+        keep = autotopy._Candidates(q, q).matching()
+        assert np.array_equal(np.flatnonzero(keep), autotopy._orbit(q, 6))
+        assert keep.sum() == 64
+
+    def test_isotopy_search_prunes_by_the_constraint_anchor(self, caplog):
+        # every section of linear(4) is Klein-type; z4-chains have Z4-type ones
+        q1, q2 = linear(4), z4().compose_at(z4(), 1).compose_at(z4(), 1)
+        with caplog.at_level(logging.DEBUG, logger="qg4"):
+            assert are_isotopic(q1, q2) is None
+        (record,) = [r for r in caplog.records if r.name == "qg4"]
+        assert record.args[1] == 6  # the first target only
+
+
 class TestSearchLog:
     def test_one_debug_record_per_sweep(self, caplog):
-        q = random_semilinear_composition(4, 1900)
+        # a transitive group, which never computes section classes, and chain(5),
+        # whose small orbit they prune
         autotopy._sweep.cache_clear()
-        with caplog.at_level(logging.DEBUG, logger="qg4"):
-            order = autotopy_group(q).order
-            assert is_transitive(q) is not None  # cached: no second sweep
-        (record,) = [r for r in caplog.records if r.name == "qg4"]
-        assert record.levelno == logging.DEBUG
-        arity, candidates, survivors, skipped, checks, hits, generators, logged = record.args
-        assert (arity, candidates, logged) == (4, 6 * 4**4, order)
-        # a candidate the probe passes is either skipped in the orbit or checked
-        assert candidates >= survivors == checks + skipped
-        assert checks >= hits >= generators > 0
-        assert "1536 candidates" in record.getMessage()
+        for q, engaged in ((random_semilinear_composition(4, 1900), False), (chain(5), True)):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="qg4"):
+                order = autotopy_group(q).order
+                assert is_transitive(q) is not None  # cached: no second sweep
+            (record,) = [r for r in caplog.records if r.name == "qg4"]
+            assert record.levelno == logging.DEBUG
+            (arity, candidates, pruned, survivors, skipped, checks, hits, generators,
+             logged) = record.args
+            assert (arity, candidates, logged) == (q.arity, 6 * 4**q.arity, order)
+            assert (pruned > 0) == engaged
+            # a candidate is pruned, rejected by the probe, skipped in the orbit or checked
+            rejected = candidates - 6 * pruned - survivors
+            assert rejected >= 0 and survivors == checks + skipped
+            assert candidates >= survivors
+            assert checks >= hits >= generators > 0
+            assert f"{candidates} candidates, {pruned} targets pruned" in record.getMessage()
 
     def test_orbit_targets_are_not_table_checked(self, caplog):
         # a linear base (group order 6 * 4^5) and the arity-6 benchmark base (8,192)
@@ -425,7 +463,7 @@ class TestSearchLog:
             orders = [autotopy_group(q).order for q in tables]
         assert orders == [6144, 6144, 8192]
         for record in caplog.records:
-            _, _, _, _, checks, _, _, order = record.args
+            checks, order = record.args[5], record.args[-1]
             assert checks <= 64 < order
 
     def test_isotopy_search_stops_at_the_first_hit(self, caplog):

@@ -310,6 +310,16 @@ class TestIsotope:
             assert moved == q.isotope(theta).code()
 
 
+class TestFreshTables:
+    def test_results_are_read_only_and_own_their_memory(self):
+        q = random_semilinear_composition(4, 7)
+        theta = random_isotopy(4, random.Random(3))
+        for got in (q.isotope(theta), q.isotope(Isotopy.identity(4)),
+                    q.compose_at(z4(), 2), q.inverse(1), q.inverse(4)):
+            assert not got.table.flags.writeable and got.table.flags.c_contiguous
+            assert not np.shares_memory(got.table, q.table)
+
+
 class TestGather:
     """The per-axis gather and the packed lookup against np.ix_ and fancy indexing."""
 

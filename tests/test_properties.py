@@ -1,5 +1,6 @@
-"""Property tests: serialization round trips and the rerooting invariance of
-tree statistics, on trees and tables drawn from seeded constructions."""
+"""Property tests: serialization round trips, the rerooting invariance of
+tree statistics, and how semilinear profiles and autotopy group orders
+follow an isotopy, on trees and tables drawn from seeded constructions."""
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -7,6 +8,7 @@ from qg4 import (
     PERMS,
     ConstructionTSpec,
     Isotopy,
+    autotopy_group,
     construction_t,
     dumps_tree,
     full_decomposition,
@@ -14,6 +16,7 @@ from qg4 import (
     parse_table,
     qg4_text,
     reroot_to_leaf,
+    semilinear_profile,
     tree_stats,
 )
 from qg4.construct import random_semilinear_composition
@@ -45,6 +48,22 @@ def tables(draw):
     return q.isotope(Isotopy(perms))
 
 
+def isotopies(arity):
+    return st.lists(st.sampled_from(PERMS), min_size=arity + 1,
+                    max_size=arity + 1).map(Isotopy)
+
+
+@st.composite
+def searched(draw):
+    """A table for the group search: an isotope of a seeded composition of
+    arity 2 to 6, or of a construction_t table of arity 3 or 5, whose small
+    orbits the section classes prune."""
+    if draw(st.booleans()):
+        return draw(tables())
+    q = construction_t(ConstructionTSpec.random(draw(st.sampled_from([3, 5])), draw(seeds)))[1]
+    return q.isotope(draw(isotopies(q.arity)))
+
+
 def shape(t):
     s = tree_stats(t)
     return (s.n_leaves, s.n_nodes, s.n_bald, s.n_bridges, s.n_forks, s.n_bunches,
@@ -70,3 +89,21 @@ def test_qg4_text_round_trip(q):
 def test_tree_stats_invariant_under_reroot(t, data):
     var = data.draw(st.integers(1, tree_stats(t).n_leaves - 1))
     assert shape(reroot_to_leaf(t, var)) == shape(t)
+
+
+@BOUNDED
+@given(tables(), st.data())
+def test_profile_follows_isotopy(q, data):
+    # q.isotope(theta) respects the preimage of each partition under its slot's permutation
+    theta = data.draw(isotopies(q.arity))
+    want = {tuple(p.image_under(t.inverse()) for p, t in zip(a, theta))
+            for a in semilinear_profile(q).assignments}
+    got = semilinear_profile(q.isotope(theta)).assignments
+    assert len(got) == len(want) and set(got) == want
+
+
+@BOUNDED
+@given(searched(), st.data())
+def test_group_order_is_an_isotopy_invariant(q, data):
+    theta = data.draw(isotopies(q.arity))
+    assert autotopy_group(q.isotope(theta)).order == autotopy_group(q).order
