@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import logging
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -266,9 +267,14 @@ class _Candidates:
         n, keep = self.n, np.ones(4**self.n, dtype=bool)
         mine = _klein(self.src, n)
         theirs = mine if self.con is self.src else _klein(self.con, n)
-        for (i, j, klein), (_, _, anchor) in zip(mine, theirs):
-            view = keep.reshape(4**i, 4, 4 ** (j - 1 - i), 4, -1)
-            view &= (klein == anchor.flat[0]).reshape(4**i, 1, 4 ** (j - 1 - i), 1, -1)
+        pairs = zip(mine, theirs)  # j ascending, then i ascending
+        for j in range(1, n):  # the pairs (i, j) skip x_j: AND them without it, then into keep
+            along = np.ones(4 ** (n - 1), dtype=bool)
+            for (i, _, klein), (_, _, anchor) in itertools.islice(pairs, j):
+                view = along.reshape(4**i, 4, -1)
+                view &= (klein == anchor.flat[0]).reshape(4**i, 1, -1)
+            view = keep.reshape(4**j, 4, -1)
+            view &= along.reshape(4**j, 1, -1)
         return keep
 
 

@@ -16,6 +16,7 @@ import numpy as np
 ORDER = 4
 SYMBOLS = (0, 1, 2, 3)
 MAX_ARITY = 12  # 4**12 table entries (~16 MiB); far above the search range
+SPLIT_CELLS = 4**10  # larger tables are Latin-checked an axis-0 quarter at a time
 
 
 class FormatError(ValueError):
@@ -229,15 +230,56 @@ class Isotopy:
 
 def _latin_violation(table: np.ndarray) -> int | None:
     """The first axis (0-based) with a section that is not a bijection, if any.
-    Symbols must lie in 0..3: a bijection's one-hot symbols OR to 0b1111.  The
-    four slices along an axis are blocks of a (4^axis, 4, -1) view, read in words."""
-    onehot = np.left_shift(1, table.ravel(), dtype=np.uint8)
-    for axis in range(table.ndim):
-        word = {1: np.uint8, 4: np.uint32}.get(ORDER ** (table.ndim - 1 - axis), np.uint64)
-        v = onehot.view(word).reshape(ORDER**axis, ORDER, -1)
-        if not ((v[:, 0] | v[:, 1] | v[:, 2] | v[:, 3]).view(np.uint8) == 15).all():
-            return axis
-    return None
+
+    Symbols must lie in 0..3, so a line is a bijection iff the one-hot bytes
+    1 << v of its cells OR, or sum, to 0b1111.  `_lines_bijective` checks the
+    axes lowest first.  A table past SPLIT_CELLS (1 MiB) is one-hot coded by
+    axis-0 quarters, into one buffer that stays in a 2 MiB L2 cache: the
+    quarters OR into `seen` for axis 0, and later quarters check only the
+    axes below one that failed."""
+    n, split = table.ndim, int(table.size > SPLIT_CELLS)
+    chunks = table.reshape(ORDER**split, -1)
+    onehot = np.empty_like(chunks[0])
+    seen = np.zeros_like(onehot) if split else None
+    buf = np.empty(len(onehot) // ORDER, dtype=np.uint8)
+    first = n  # the lowest failing axis so far, or n
+    for chunk in chunks:
+        np.left_shift(1, chunk, out=onehot)
+        if split:
+            seen |= onehot
+        first = next((axis for axis in range(split, first)
+                      if not _lines_bijective(onehot, n - 1 - axis, buf)), first)
+    if split and seen.min() < 15:
+        return 0
+    return first if first < n else None
+
+
+def _lines_bijective(onehot: np.ndarray, inner: int, buf: np.ndarray) -> bool:
+    """Whether the lines along the axis with `inner` axes after it are bijections.
+
+    A line's cells are the four blocks of a (-1, 4, run) view in 64-bit words
+    (32-bit for runs of 4 bytes), ORed in place into `buf`, a quarter of
+    `onehot`; runs under 8 words go lane by lane, so every loop is long.
+    Lines of adjacent bytes are 32-bit words, whose bytes sum to 15 iff they
+    are distinct: one multiplication, in place, leaves the sum in the top byte."""
+    if inner == 0:
+        sums = onehot.view(np.uint32)
+        sums *= np.uint32(0x01010101)
+        return sums.min() >> 24 == 15 == sums.max() >> 24
+    words = onehot.view(np.uint64 if inner > 1 else np.uint32)
+    lines = words.reshape(-1, ORDER, ORDER**inner // words.itemsize)
+    blocks = lines.transpose(1, 2, 0) if lines.shape[2] < 8 else lines.transpose(1, 0, 2)
+    out = buf.view(words.dtype).reshape(blocks.shape[1:])
+    np.bitwise_or(blocks[0], blocks[1], out=out)
+    out |= blocks[2]
+    out |= blocks[3]
+    return buf.min() == 15
+
+
+def _require_latin(table: np.ndarray) -> None:
+    axis = _latin_violation(table)
+    if axis is not None:
+        raise LatinError(f"section through argument {axis + 1} is not a bijection")
 
 
 def _splitmix(count: int, bits: int) -> np.ndarray:
@@ -279,9 +321,7 @@ class Quasigroup:
         if not _trusted:
             if arr.max(initial=0) > 3:
                 raise FormatError("table contains a symbol outside 0..3")
-            axis = _latin_violation(arr)
-            if axis is not None:
-                raise LatinError(f"section through argument {axis + 1} is not a bijection")
+            _require_latin(arr)
         if arr.flags.writeable:
             arr = arr.copy()
             arr.setflags(write=False)
@@ -305,8 +345,10 @@ class Quasigroup:
         if arr.max() > 3:
             bad = digits[int(np.argmax(arr > 3))]
             raise FormatError(f"invalid table digit {bad if isinstance(bad, str) else chr(bad)!r}")
+        arr = arr.reshape((ORDER,) * arity)
+        _require_latin(arr)  # the digit check above was the symbol scan
         arr.setflags(write=False)  # a fresh array: Quasigroup need not copy it
-        return cls(arr.reshape((ORDER,) * arity))
+        return cls(arr, _trusted=True)
 
     @classmethod
     def from_callable(cls, arity: int, fn) -> "Quasigroup":

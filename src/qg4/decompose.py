@@ -182,8 +182,11 @@ def _try_split(q: Quasigroup, subset: tuple[int, ...]):
         if not (members == members[0]).all():
             return None
         reps.append(int(np.argmax(inner_vals == v)))
-    inner = Quasigroup(inner_vals.reshape((ORDER,) * m))
-    outer = Quasigroup(flat[reps].reshape((ORDER,) * (n - m + 1)))
+    # Trusted: q is Latin and q(a, r) = outer(inner(a), r) on every cell.  On a
+    # line of inner, q(., r) is injective, so inner is too and takes all four
+    # values, where outer(., r) meets q's four.  outer's other lines are q's.
+    inner = Quasigroup(inner_vals.reshape((ORDER,) * m), _trusted=True)
+    outer = Quasigroup(flat[reps].reshape((ORDER,) * (n - m + 1)), _trusted=True)
     return inner, outer
 
 

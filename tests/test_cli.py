@@ -1,6 +1,7 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
 from qg4 import linear, parse_table, qg4_text, z4
@@ -203,11 +204,16 @@ class TestExitCodes:
         code, _ = invoke(["atp", str(path)])
         assert code == EXIT_FORMAT
 
-    def test_latin_violation(self, tmp_path):
-        path = tmp_path / "bad.qg4"
-        path.write_text("qg4 2\n0123103223013201\n")
-        code, _ = invoke(["atp", str(path)])
-        assert code == EXIT_LATIN
+    def test_latin_violation(self, tmp_path, capsys):
+        grid = np.indices((4,) * 10, dtype=np.uint8)
+        last = (grid[:-1].sum(axis=0) + grid[-1] // 2) % 4  # only x_10's sections repeat
+        digits = (last.ravel() + ord("0")).astype(np.uint8).tobytes().decode()
+        for command, text in (("atp", "qg4 2\n0123103223013201\n"),
+                              ("decompose", f"qg4 10\n{digits}\n")):
+            path = tmp_path / "bad.qg4"
+            path.write_text(text)
+            code, _ = invoke([command, str(path)])
+            assert code == EXIT_LATIN and "Traceback" not in capsys.readouterr().err
 
     def test_missing_file(self):
         code, _ = invoke(["atp", "/nonexistent/q.qg4"])

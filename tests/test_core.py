@@ -11,6 +11,7 @@ import pytest
 from qg4 import (
     ArityError,
     CapError,
+    ConstructionTSpec,
     FormatError,
     IDENTITY,
     Isotopy,
@@ -18,6 +19,7 @@ from qg4 import (
     PERMS,
     Perm,
     Quasigroup,
+    construction_t,
     linear,
     parse_table,
     qg4_text,
@@ -26,10 +28,10 @@ from qg4 import (
     z4,
 )
 from qg4.autotopy import _propagate_candidate, is_autotopy
-from qg4.core import _gather, _lookup
+from qg4.core import _gather, _latin_violation, _lines_bijective, _lookup
 from qg4.construct import XOR2_DIGITS, Z4_DIGITS, random_semilinear_composition
 
-from conftest import random_isotopy
+from conftest import oracle_tables, random_isotopy
 
 # The presentation tables list rows/columns in the order 0, 2, 1, 3 so the
 # pair-block structure is visible; the shipped constants are lexicographic.
@@ -175,11 +177,20 @@ class TestParse:
             parse_table("qg4 2\n0123103223013201\n")
 
     def test_latin_violation_names_the_broken_argument(self):
-        # sum of the other arguments plus x_k // 2: only sections along axis k repeat a symbol
-        grid = np.indices((4,) * 4)
-        for k in range(4):
-            table = (grid.sum(axis=0) - grid[k] + grid[k] // 2) % 4
-            with pytest.raises(LatinError, match=f"argument {k + 1} is not"):
+        # sum of the other arguments plus x_k // 2: only sections along axis k
+        # repeat a symbol; arity 11 is checked an axis-0 quarter at a time
+        for n in range(2, 12):
+            digits = [np.arange(4, dtype=np.uint8).reshape((4,) + (1,) * (n - 1 - k))
+                      for k in range(n)]
+            total = sum(digits)
+            for k in range(n):
+                table = (total - digits[k] + digits[k] // 2) % 4
+                with pytest.raises(LatinError, match=f"argument {k + 1} is not"):
+                    Quasigroup(table)
+        # the even quarters break only along axis a, the odd ones only along b
+        for a, b in ((3, 7), (7, 3)):
+            table = (total + 2 * np.where(digits[0] % 2, digits[b] // 2, digits[a] // 2)) % 4
+            with pytest.raises(LatinError, match="argument 4 is not"):
                 Quasigroup(table)
         with pytest.raises(FormatError, match="outside"):
             Quasigroup(np.where(table == 3, 4, table))
@@ -214,6 +225,58 @@ class TestParse:
         assert len(text) == len("qg4 10\n") + 4**10 + 1
         assert text[7:-1] == "".join(str(v) for v in q.table.ravel())  # the old digits()
         assert parse_table(text) == q and parse_table(text.encode("ascii")) == q
+
+
+def reference_latin_violation(table):
+    """The per-axis one-hot check `_latin_violation` replaced, kept as its
+    oracle: the first axis whose four slices do not OR to 0b1111 everywhere."""
+    onehot = np.left_shift(1, table.ravel(), dtype=np.uint8)
+    for axis in range(table.ndim):
+        v = onehot.reshape(4**axis, 4, -1)
+        if not ((v[:, 0] | v[:, 1] | v[:, 2] | v[:, 3]) == 15).all():
+            return axis
+    return None
+
+
+class TestLatinOracle:
+    @staticmethod
+    def mutants(table, rng):
+        """Copies with 1-3 swaps of two cells, with 1-3 overwritten cells, and,
+        for each axis k, with the hyperplane x_k = v moved by an isotopy of the
+        axes below k: that keeps every line along those axes."""
+        for swap in (True, True, False, False):
+            flat = table.ravel().copy()
+            for _ in range(rng.randint(1, 3)):
+                a, b = rng.randrange(flat.size), rng.randrange(flat.size)
+                if swap:
+                    flat[a], flat[b] = flat[b], flat[a]
+                else:
+                    flat[a] = rng.randrange(4)
+            yield flat.reshape(table.shape)
+        for k in range(table.ndim):
+            plane = (slice(None),) * k + (rng.randrange(4),)
+            moved = table.copy()
+            moved[plane] = _gather(table[plane], [PERMS[rng.randrange(24)] for _ in range(k)])
+            yield moved
+
+    def test_matches_the_per_axis_check(self):
+        rng = random.Random(10)
+        tables = [np.array(p.images, dtype=np.uint8) for p in PERMS[::5]]
+        tables += [q.table for q in oracle_tables()]
+        tables += [random_semilinear_composition(10, 1).table,
+                   construction_t(ConstructionTSpec.random(11, 1))[1].table]
+        lowest = []
+        for table in tables:
+            for t in (table, *self.mutants(table, rng)):
+                lowest.append(_latin_violation(t))
+                assert lowest[-1] == reference_latin_violation(t)
+        broken = [k for k in lowest if k is not None]
+        assert len(lowest) - len(broken) >= len(tables) and set(broken) == set(range(11))
+
+    def test_adjacent_bytes_summing_past_15_repeat(self):
+        # lines summing to 15 and 22: the minimum alone would pass them
+        onehot = np.array([1, 2, 4, 8, 8, 8, 4, 2], dtype=np.uint8)
+        assert not _lines_bijective(onehot, 0, np.empty(2, dtype=np.uint8))
 
 
 class TestEval:

@@ -4,18 +4,22 @@ import json
 import logging
 import random
 
+import numpy as np
 import pytest
 
 from qg4 import (
+    ConstructionTSpec,
     FormatError,
     Isotopy,
     Perm,
+    Quasigroup,
     are_coherent,
     are_isotopic,
     autotopy_group,
     close_isotopies,
     chain,
     chain_tree,
+    construction_t,
     dumps_tree,
     find_split,
     floor_lower_bound,
@@ -40,7 +44,8 @@ from qg4 import (
     z4,
 )
 from qg4 import cli, qg4_text
-from qg4.decompose import Leaf, Node, _try_split, is_proper, iter_nodes, validate_tree
+from qg4.decompose import (Leaf, Node, _permute_args, _try_split, is_proper, iter_nodes,
+                           validate_tree)
 from qg4.semilinear import PARTITIONS
 from qg4.construct import conjugate_uniform, random_semilinear_composition
 
@@ -121,6 +126,26 @@ class TestSplitOracle:
     def test_probe_first_matches_the_exhaustive_scan(self):
         for q in oracle_tables():
             assert find_split(q) == scan_split(q)
+
+    def test_split_factors_are_latin_and_compose_back(self):
+        # the factors are built trusted: each must pass the untrusted check;
+        # they are split in turn, as full_decomposition does
+        spec = ConstructionTSpec.random
+        todo = [*oracle_tables(), construction_t(spec(9, 1))[1],
+                random_semilinear_composition(10, 1), construction_t(spec(11, 1))[1]]
+        splits = 0
+        while todo:
+            q = todo.pop()
+            if (got := find_split(q)) is None:
+                continue
+            subset, inner, outer = got
+            for factor in (inner, outer):
+                assert Quasigroup(np.array(factor.table)) == factor
+            rest = [v for v in range(1, q.arity + 1) if v not in subset]
+            assert _permute_args(outer.compose_at(inner, 1), [*subset, *rest]) == q
+            todo += [inner, outer]
+            splits += 1
+        assert splits > 400
 
     def test_split_probed_at_sampled_points(self):
         # the irreducible shifted xor splits off at size 5, probed at sampled
