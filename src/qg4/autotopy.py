@@ -15,22 +15,24 @@ stabilizer, and every autotopy whose target lies in H's orbit of the anchor is
 in H already.  The other targets are taken lazily in flat order, in blocks of
 the next 1, 2, 4, ... targets outside H's orbit, back to one after a block
 that adds a generator; each hit outside H becomes a generator, and H grows by
-its new right cosets, with membership a bool array over the dense index.
+its new right cosets, with membership a bool array over the dense index; a
+coset that meets H, or fewer marks than rows, means the index collided.
 Once a block after the anchor adds no generator, targets are also pruned by
 their 2-D sections: an isotopy maps the (i, j)-section through the anchor
 onto an isotopic one through its target, and an order-4 Latin square is of
-Z4 or of Klein type.  A target outside H's final orbit was pruned or had all
-its candidates rejected, so orbit(H) = orbit(G) and the group is exact.  The
-same candidates and the same filter between two quasigroups decide isotopy
-at the first hit.  Greedy generators grow their subgroups the same way over
-the key-sorted rows, indexed by position.
+Z4 or of Klein type; the open targets left must match the anchor's count of
+Klein-type (i, j)-sections along x_k in each (i, j, k)-cube.  A target outside
+H's final orbit was pruned or had all its candidates rejected, so orbit(H) =
+orbit(G) and the group is exact.  The same candidates and the same filter
+between two quasigroups decide isotopy at the first hit.  The rows come out
+in key order, and greedy generators are read off them layer by layer down the
+kernel chain of that order, with no second closure.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import logging
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -221,6 +223,7 @@ class _Candidates:
         self.shifts = np.left_shift(self.con, 1)  # theta_0's image of v sits at bit 2v
         self.per_check = 4 ** max(0, CHECK_AXES - n)  # candidates per check block
         self.rounds = [(terms, _IMG[:, self.con[cells]]) for cells, terms in _probes(n)]
+        self.open = np.ones(4**n, dtype=bool)  # targets a search may still sweep
 
     def block(self, targets: np.ndarray) -> np.ndarray:
         """The candidate rows at `targets` worth a full-table check, in sweep order:
@@ -261,41 +264,70 @@ class _Candidates:
 
     def matching(self) -> np.ndarray:
         """Mask of the targets whose 2-D sections have the classes of the
-        constraint's sections through the anchor, axis pair by axis pair.  An
-        isotopy maps the (i, j)-section through the anchor onto an isotopic
-        (i, j)-section through its target, and isotopy keeps the class."""
+        constraint's sections through the anchor, axis pair by axis pair, and,
+        if still open, whose (i, j, k)-cubes hold as many Klein-type
+        (i, j)-sections along x_k as the anchor's.  An isotopy maps the
+        (i, j)-section through the anchor onto an isotopic (i, j)-section
+        through its target, and isotopy keeps the class; it maps the anchor's
+        cube onto the target's, permuting x_k."""
         n, keep = self.n, np.ones(4**self.n, dtype=bool)
         mine = _klein(self.src, n)
         theirs = mine if self.con is self.src else _klein(self.con, n)
-        pairs = zip(mine, theirs)  # j ascending, then i ascending
+        pairs = iter(mine == theirs[:, :1])  # j ascending, then i ascending
         for j in range(1, n):  # the pairs (i, j) skip x_j: AND them without it, then into keep
             along = np.ones(4 ** (n - 1), dtype=bool)
-            for (i, _, klein), (_, _, anchor) in itertools.islice(pairs, j):
+            for i in range(j):
                 view = along.reshape(4**i, 4, -1)
-                view &= (klein == anchor.flat[0]).reshape(4**i, 1, -1)
+                view &= next(pairs).reshape(4**i, 1, -1)
             view = keep.reshape(4**j, 4, -1)
             view &= along.reshape(4**j, 1, -1)
+        weights, pair, axis, lines = _cubes(n)  # cube counts, gathered at kept open targets
+        counts = theirs.ravel()[lines].sum(axis=0)
+        kept = np.flatnonzero(keep & self.open).astype(np.int32)
+        for block in (kept[s:s + TARGET_BLOCK] for s in range(0, len(kept), TARGET_BLOCK)):
+            digits = block[:, None] // _WEIGHTS[-n:] % 4
+            at = (digits @ weights)[:, pair] - digits[:, axis] * (lines[1] - lines[0])
+            found = sum(np.take(mine.ravel(), at + line).view(np.uint8) for line in lines)
+            keep[block] = (found == counts).all(axis=1)
         return keep
 
 
-def _klein(flat: np.ndarray, n: int) -> list[tuple[int, int, np.ndarray]]:
-    """For each axis pair i < j, whether the (i, j)-section through each point
-    is Klein-type, as a bool array over the other axes in flat order.
+def _klein(flat: np.ndarray, n: int) -> np.ndarray:
+    """For each axis pair i < j, j ascending then i ascending, whether the
+    (i, j)-section through each point is Klein-type: a bool row per pair over
+    the other axes in flat order.
 
     A Latin square of order 4 is isotopic to the table of the Klein group or
     of Z4, and of its row quotients row_r o row_0^-1 (r = 1, 2, 3) three or
     one are involutions: it is Klein-type iff the first two are.  Each axis's
-    lines are read once as permutation indices; row r of the (i, j)-section
-    is the j-line at x_i = r."""
-    out = []
+    lines are read once as uint16 permutation indices; row r of the
+    (i, j)-section is the j-line at x_i = r."""
+    out = np.empty((n * (n - 1) // 2, 4**n // 16), dtype=bool)
+    rows, row_perm = iter(out), _ROW_PERM.astype(np.uint16)
     for j in range(1, n):
         t = flat.reshape(4**j, 4, -1)  # base-4 digits of a line fit in a uint8
-        lines = _ROW_PERM[t[:, 0] * 64 + t[:, 1] * 16 + t[:, 2] * 4 + t[:, 3]].astype(np.intp)
+        lines = row_perm[t[:, 0] * 64 + t[:, 1] * 16 + t[:, 2] * 4 + t[:, 3]]
         for i in range(j):
             r = lines.reshape(4**i, 4, -1)
-            out.append((i, j, _INVOLUTION_QUOTIENT[24 * r[:, 1] + r[:, 0]]
-                        & _INVOLUTION_QUOTIENT[24 * r[:, 2] + r[:, 0]]))
+            klein = next(rows).reshape(r[:, 0].shape)
+            np.take(_INVOLUTION_QUOTIENT, r[:, 1] * np.uint16(24) + r[:, 0], out=klein)
+            klein &= np.take(_INVOLUTION_QUOTIENT, r[:, 2] * np.uint16(24) + r[:, 0])
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _cubes(n: int) -> tuple[np.ndarray, ...]:
+    """The cubes (i, j, k) at arity n, by pair i < j in _klein's order, then k:
+    the weights (n, pairs) of the axes in each pair's row, and per cube its
+    pair, its axis k and the flat indices (4, cubes) in _klein's output of the
+    four (i, j)-sections along x_k through the anchor."""
+    j, i = np.tril_indices(n, -1)  # j ascending, then i ascending
+    axes = np.arange(n)
+    weights = (_WEIGHTS[-n:] >> 2 * (axes < i[:, None]) + 2 * (axes < j[:, None])) \
+        * (axes != i[:, None]) * (axes != j[:, None])
+    pair, axis = np.nonzero(weights)
+    lines = pair * 4**n // 16 + weights[pair, axis] * np.arange(ORDER)[:, None]
+    return weights.T.astype(np.int32), pair, axis, lines.astype(np.int32)
 
 
 def _targets(rows: np.ndarray) -> np.ndarray:
@@ -314,7 +346,7 @@ def _next_targets(open_: np.ndarray, start: int, size: int) -> np.ndarray:
 
 
 def _autotopies(q: Quasigroup) -> np.ndarray:
-    """Rows of the autotopies of q in sweep order, by the orbit-stabilizer search."""
+    """Rows of the autotopies of q in key order, by the orbit-stabilizer search."""
     cand, n = _Candidates(q, q), q.arity
     c0 = int(cand.con[0])
 
@@ -322,7 +354,7 @@ def _autotopies(q: Quasigroup) -> np.ndarray:
         return 6 * _targets(rows) + _RANK[c0, rows[:, 0]]
 
     member = np.zeros(6 * 4**n, dtype=bool)
-    open_ = np.ones(4**n, dtype=bool)  # targets neither swept, in H's orbit nor pruned
+    open_ = cand.open  # targets neither swept, in H's orbit nor pruned
     known, gens = np.zeros((1, n + 1), dtype=np.uint8), np.empty((0, n + 1), dtype=np.uint8)
     member[index(known)] = True  # H starts as the identity
     pruned = swept = rejected = skipped = checks = hits = 0
@@ -347,12 +379,12 @@ def _autotopies(q: Quasigroup) -> np.ndarray:
                 grown = _extend(known, gens, index, member)
                 open_[_targets(grown)] = False
                 known = np.concatenate([known, grown])
+        open_[targets] = False
         size = 1 if len(gens) > before else min(2 * size, TARGET_BLOCK)
         if not pruning and targets[0] and len(gens) == before:
             # Only now are the section classes worth computing: a transitive
             # group adds a generator at every block until its orbit is complete.
             pruning, unmatched = True, ~cand.matching()
-            unmatched[:start] = False
             pruned = int((unmatched & open_).sum())
             open_ &= ~unmatched
     skipped += 6 * (4**n - swept - pruned)  # the targets never swept lie in the orbit
@@ -360,7 +392,9 @@ def _autotopies(q: Quasigroup) -> np.ndarray:
                "%d skipped in the orbit, %d full-table checks, %d hits, %d generators, order %d",
                n, 6 * 4**n, pruned, 6 * 4**n - 6 * pruned - rejected, skipped, checks, hits,
                len(gens), len(known))
-    return known[np.argsort(index(known))]
+    if member.sum() != len(known):
+        raise AssertionError("the dense index collides within a coset")
+    return known[np.argsort(_keys(known))]
 
 
 def _first_isotopy(q1: Quasigroup, q2: Quasigroup) -> np.ndarray:
@@ -396,21 +430,23 @@ def _check_cap(q: Quasigroup, cap: int) -> None:
 
 @functools.lru_cache(maxsize=32)
 def _sweep(q: Quasigroup) -> np.ndarray:
-    """The autotopies of q as read-only rows, in sweep order."""
+    """The autotopies of q as read-only rows, in key order."""
     rows = _autotopies(q)
     rows.setflags(write=False)
     return rows
 
 
-def _group(rows: np.ndarray) -> AutotopyGroup:
-    """Group record of a closed element set: lexicographic elements, greedy
+def _group(elements) -> AutotopyGroup:
+    """Group record of the search's _Elements, or of other rows, which
+    greedy_generators checks for closure: lexicographic elements, greedy
     generators, elements kept when the order is within MATERIALIZE_LIMIT."""
-    keys = _keys(rows)
-    order = np.argsort(keys)
-    elements = _Elements(rows[order], keys[order])
     gens = tuple(greedy_generators(elements))
-    keep = elements if len(rows) <= MATERIALIZE_LIMIT else None
-    return AutotopyGroup(order=len(rows), generators=gens, elements=keep)
+    if not isinstance(elements, _Elements):
+        keys = _keys(elements)
+        order = np.argsort(keys)
+        elements = _Elements(elements[order], keys[order])
+    keep = elements if len(elements) <= MATERIALIZE_LIMIT else None
+    return AutotopyGroup(order=len(elements), generators=gens, elements=keep)
 
 
 def autotopy_group(q: Quasigroup, *, cap: int = DEFAULT_CAP) -> AutotopyGroup:
@@ -419,7 +455,8 @@ def autotopy_group(q: Quasigroup, *, cap: int = DEFAULT_CAP) -> AutotopyGroup:
     Generators come from a greedy lexicographic sieve and are reproducible.
     """
     _check_cap(q, cap)
-    return _group(_sweep(q))
+    rows = _sweep(q)
+    return _group(_Elements(rows, _keys(rows)))
 
 
 def _orbit(q: Quasigroup, cap: int) -> np.ndarray:
@@ -494,14 +531,19 @@ def _extend(known: np.ndarray, gens: np.ndarray, index, member: np.ndarray) -> n
     `known`, a group generated by gens[:-1]; marks them in `member`, a bool
     array over index(rows).  The new elements fill right cosets known * r; a
     BFS over the representatives r, from gens[-1] by right multiplication by
-    gens, reaches every coset (in a finite group positive words suffice)."""
+    gens, reaches every coset (in a finite group positive words suffice).
+    Distinct cosets are disjoint, so a new one meeting a marked row means the
+    index collided."""
     grown, todo = [], gens[-1:]
     while len(todo):
         reps = []
         while len(todo := todo[~member[index(todo)]]):  # the first product in a new coset
             reps.append(todo[0])
             grown.append(_MUL_A[known, todo[0]])
-            member[index(grown[-1])] = True
+            at = index(grown[-1])
+            if member[at].any():
+                raise AssertionError("a new coset meets the subgroup: the index collides")
+            member[at] = True
         todo = _MUL_A[np.array(reps)[:, None, :], gens].reshape(-1, gens.shape[1]) if reps else []
     return np.concatenate(grown)
 
@@ -520,11 +562,26 @@ def close_isotopies(gens) -> set[Isotopy]:
     return set(_isotopies(np.array(list(known), dtype=np.uint8)))
 
 
+@functools.lru_cache(maxsize=None)
+def _join(span: frozenset, p: int) -> frozenset:
+    """The subgroup of S_4 generated by a subgroup and p, as Perm indices."""
+    grown = span | {p}
+    while (more := {_MUL[a][b] for a in grown for b in grown}) - grown:
+        grown |= more
+    return grown
+
+
 def greedy_generators(elements) -> list[Isotopy]:
-    """Greedy generating subset, scanning elements (isotopies, or rows of
-    permutation indices) in lexicographic order.  Each generator taken
-    extends the known subgroup by its new right cosets; elements are indexed
-    by their position in key order."""
+    """Greedy generating subset: each element of S (the search's _Elements, or
+    isotopies or rows of permutation indices), in lexicographic order, that the
+    earlier picks do not generate.  In key order, PERMS[0] = id first, the
+    kernels K_i = {theta_0 = ... = theta_i = id} are a chain listed as {id},
+    then layer n, ..., layer 0: the rows whose first non-identity column is i.
+    On entering layer i the picks generate K_i, so a row there is generated iff
+    theta_i lies in the span in S_4 of the layer's picks.  Each layer's values
+    with id must be a subgroup of S_4, their orders must multiply to |S|, and S
+    other than the search's closed rows must hold S * p for each pick p: then
+    the picks generate a group of at least |S| elements inside S."""
     if isinstance(elements, _Elements):  # key-sorted already
         rows, keys = elements.rows, elements.keys
     else:
@@ -534,22 +591,28 @@ def greedy_generators(elements) -> list[Isotopy]:
         keys = _keys(rows)
         order = np.argsort(keys)
         rows, keys = rows[order], keys[order]
-
-    def index(r):
-        k = _keys(r)
-        pos = np.minimum(np.searchsorted(keys, k), len(keys) - 1)
-        if not (keys[pos] == k).all():
-            raise AssertionError("element set is not closed under composition")
-        return pos
-
-    if (keys[1:] == keys[:-1]).any():
-        raise AssertionError("element set repeats an element")
-    member = np.zeros(len(keys), dtype=bool)
-    known, gens = np.zeros_like(rows[:1]), rows[:0]  # the identity; no generators
-    member[index(known)] = True
-    while not member.all():
-        gens = np.concatenate([gens, rows[[np.argmin(member)]]])  # the first element not yet known
-        known = np.concatenate([known, _extend(known, gens, index, member)])
+    if rows[0].any() or (keys[1:] <= keys[:-1]).any():
+        raise AssertionError("element set lacks the identity or repeats an element")
+    col = (rows[1:] != 0).argmax(axis=1)  # the first non-identity column of each row
+    val = np.take_along_axis(rows[1:], col[:, None], axis=1)[:, 0]
+    runs = np.flatnonzero(np.diff(24 * col + val, prepend=-1))  # each value's first row
+    picks, size = [], 1
+    for layer in np.split(runs, np.flatnonzero(np.diff(col[runs])) + 1):
+        values, span = val[layer].tolist(), frozenset({0})
+        for v, r in zip(values, layer.tolist()):
+            if v not in span:
+                span = _join(span, v)
+                picks.append(r + 1)
+        if span != {0, *values}:
+            raise AssertionError("a layer's values are not a subgroup of S_4")
+        size *= len(span)
+    if size != len(rows):
+        raise AssertionError("the layer orders do not multiply to the order")
+    gens = rows[picks]
+    if not isinstance(elements, _Elements):
+        for p in gens:
+            if not np.isin(_keys(_MUL_A[rows, p]), keys).all():
+                raise AssertionError("element set is not closed under composition")
     return _isotopies(gens)
 
 

@@ -271,11 +271,46 @@ class TestGreedyGenerators:
         xi = P((0, 2), (1, 3))
         identity = Isotopy.identity(2)
         cycle = Isotopy((IDENTITY, P((0, 1, 2, 3)), IDENTITY))
+        x, y, z = P((0, 1)), P((0, 2), (1, 3)), P((0, 1, 2, 3))
         for elements in ([Isotopy((xi, xi, IDENTITY))],  # no identity
                          [identity, cycle],  # the closure outgrows the set
-                         [identity, identity]):  # a repeated element
+                         [identity, identity],  # a repeated element
+                         # every layer is a subgroup of S_4 and their orders
+                         # multiply to 4, but (y, z)^2 = (id, z^2) is missing
+                         [Isotopy((IDENTITY, IDENTITY)), Isotopy((IDENTITY, x)),
+                          Isotopy((y, IDENTITY)), Isotopy((y, z))]):
             with pytest.raises(AssertionError):
                 greedy_generators(elements)
+
+    def test_cheap_checks_hold_on_the_search_path(self):
+        # the search's _Elements skip the closure check, not the layer checks
+        x, y, c = P((0, 1)), P((2, 3)), P((0, 1, 2, 3))
+        for elements in ([(x, IDENTITY)],  # no identity
+                         # <c> has order 4 = |S|, but the layer's values {id, c}
+                         # are no subgroup
+                         [(IDENTITY, IDENTITY), (c, IDENTITY), (c, x), (c, y)],
+                         # the layer {id, x} is a subgroup, of order 2, not 3
+                         [(IDENTITY, IDENTITY), (x, IDENTITY), (x, y)]):
+            rows = np.array([[p.index for p in e] for e in elements], dtype=np.uint8)
+            rows = rows[np.argsort(autotopy._keys(rows))]
+            with pytest.raises(AssertionError):
+                greedy_generators(autotopy._Elements(rows, autotopy._keys(rows)))
+
+    def test_colliding_dense_index_is_caught(self, monkeypatch):
+        # ranks 4 and 5 share a slot: the search must not return a short group
+        autotopy._sweep.cache_clear()
+        monkeypatch.setattr(autotopy, "_RANK", autotopy._RANK.clip(max=4))
+        with pytest.raises(AssertionError):
+            autotopy_group(linear(3))
+
+    def test_matches_the_keyed_greedy(self):
+        # the kernel-chain pass against the closure-per-generator greedy, on the
+        # search's rows and on the same rows given raw in reverse order
+        for q in oracle_tables():
+            if q.arity <= 8:
+                expected = keyed_greedy(autotopy._sweep(q))
+                assert list(autotopy_group(q, cap=8).generators) == expected
+                assert greedy_generators(autotopy._sweep(q)[::-1].copy()) == expected
 
 
 class TestContains:
@@ -336,6 +371,41 @@ def scalar_greedy(elements):
                 frontier = [x * g for x in fresh for g in gens]
     assert len(known) == len(ordered)
     return gens
+
+
+def keyed_greedy(rows):
+    """Greedy generators as computed before the kernel-chain pass: each pick,
+    the first element not yet known, extends the known subgroup by its new
+    right cosets, with elements indexed by their position in key order."""
+    keys = autotopy._keys(rows)
+    order = np.argsort(keys)
+    rows, keys = rows[order], keys[order]
+
+    def index(r):
+        k = autotopy._keys(r)
+        pos = np.minimum(np.searchsorted(keys, k), len(keys) - 1)
+        assert (keys[pos] == k).all()
+        return pos
+
+    def extend(known, gens):
+        grown, todo = [], gens[-1:]
+        while len(todo):
+            reps = []
+            while len(todo := todo[~member[index(todo)]]):
+                reps.append(todo[0])
+                grown.append(autotopy._MUL_A[known, todo[0]])
+                member[index(grown[-1])] = True
+            todo = (autotopy._MUL_A[np.array(reps)[:, None, :], gens].reshape(-1, gens.shape[1])
+                    if reps else [])
+        return np.concatenate(grown)
+
+    member = np.zeros(len(keys), dtype=bool)
+    known, gens = np.zeros_like(rows[:1]), rows[:0]
+    member[index(known)] = True
+    while not member.all():
+        gens = np.concatenate([gens, rows[[np.argmin(member)]]])
+        known = np.concatenate([known, extend(known, gens)])
+    return autotopy._isotopies(gens)
 
 
 def scalar_isotopy(q1, q2):
@@ -429,6 +499,42 @@ class TestSectionPruning:
             assert are_isotopic(q1, q2) is None
         (record,) = [r for r in caplog.records if r.name == "qg4"]
         assert record.args[1] == 6  # the first target only
+
+
+def reference_section_filter(q1, q2, cubes=True):
+    """The section-class filter from whole-mask sums: each pair's classes are
+    compared with the anchor's, and each cube count along x_k is the pair
+    mask summed over axis k, broadcast back over x_i, x_j and x_k."""
+    n = q1.arity
+    keep = np.ones((4,) * n, dtype=bool)
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    for (i, j), mine, theirs in zip(pairs, autotopy._klein(q1.table.ravel(), n),
+                                    autotopy._klein(q2.table.ravel(), n)):
+        mine, theirs = mine.reshape((4,) * (n - 2)), theirs.reshape((4,) * (n - 2))
+        keep &= np.expand_dims(mine == theirs.flat[0], (i, j))
+        for axis in range(n - 2 if cubes else 0):
+            counts = mine.sum(axis=axis, keepdims=True)
+            anchor = theirs.sum(axis=axis, keepdims=True).flat[0]
+            keep &= np.expand_dims(counts == anchor, (i, j))
+    return keep.ravel()
+
+
+class TestCubeCounts:
+    def test_filter_keeps_exactly_the_orbit_of_the_second_base(self):
+        # the pair classes alone keep 320 targets of this benchmark base
+        q = random_semilinear_composition(5, 101)
+        keep = autotopy._Candidates(q, q).matching()
+        assert np.array_equal(np.flatnonzero(keep), autotopy._orbit(q, 6))
+        assert reference_section_filter(q, q, cubes=False).sum() == 320
+
+    def test_gathered_counts_match_whole_mask_sums(self):
+        tables = [q for q in oracle_tables() if q.arity <= 7]
+        for q1, q2 in zip(tables, tables[1:] + tables[:1]):
+            expected = reference_section_filter(q1, q1)
+            assert np.array_equal(autotopy._Candidates(q1, q1).matching(), expected)
+            if q2.arity == q1.arity:
+                expected = reference_section_filter(q1, q2)
+                assert np.array_equal(autotopy._Candidates(q1, q2).matching(), expected)
 
 
 class TestSearchLog:
