@@ -25,14 +25,18 @@ from .core import (
     ArityError,
     FormatError,
     IDENTITY,
+    PERMS,
     Isotopy,
     Perm,
     Quasigroup,
+    _lookup,
     _splitmix,
 )
 from .autotopy import is_autotopy
 from .semilinear import (
     PairPartition,
+    _compose_at,
+    _isotope,
     native_elements,
     semilinear_profile,
 )
@@ -289,20 +293,14 @@ def are_coherent(t: Tree, parent_path: tuple[int, ...], child_index: int) -> boo
 def merge_nodes(t: Tree, parent_path: tuple[int, ...], child_index: int) -> Tree:
     """Replace an adjacent node pair by one node with the composed label."""
     parent, child = _adjacent_node_pair(t, parent_path, child_index)
-    label = parent.label.compose_at(child.label, child_index + 1)
+    label = _compose_at(parent.label, child.label, child_index + 1)
     children = (parent.children[:child_index] + child.children
                 + parent.children[child_index + 1:])
     return _replace_at(t, parent_path, Node(label, children))
 
 
-def _bfs_paths(t: Tree) -> list[tuple[int, ...]]:
-    paths = [p for _node, p in iter_nodes(t)]
-    paths.sort(key=lambda p: (len(p), p))
-    return paths
-
-
 def _first_coherent_pair(t: Tree):
-    for path in _bfs_paths(t):
+    for path in sorted((p for _node, p in iter_nodes(t)), key=lambda p: (len(p), p)):
         node = node_at(t, path)
         for k, child in enumerate(node.children):
             if isinstance(child, Node) and are_coherent(t, path, k):
@@ -326,21 +324,15 @@ def merge_coherent(t: Tree) -> Tree:
 
 def is_proper(t: Tree) -> bool:
     """Semilinear labels and no coherent adjacent pair."""
-    for node, _ in iter_nodes(t):
-        if not semilinear_profile(node.label).is_semilinear:
-            return False
-    return _first_coherent_pair(t) is None
+    return (all(semilinear_profile(node.label).is_semilinear for node, _ in iter_nodes(t))
+            and _first_coherent_pair(t) is None)
 
 
 def is_reduced(t: Tree) -> bool:
     """Proper, and every label respects the 01|23 or 02|13 partition uniformly."""
-    if not is_proper(t):
-        return False
-    for node, _ in iter_nodes(t):
-        constant = semilinear_profile(node.label).constant_partitions()
-        if not any(p.partner in (1, 2) for p in constant):
-            return False
-    return True
+    return is_proper(t) and all(
+        any(p.partner in (1, 2) for p in semilinear_profile(node.label).constant_partitions())
+        for node, _ in iter_nodes(t))
 
 
 def _slot_partner(label: Quasigroup, slot: int, target: PairPartition) -> int:
@@ -373,7 +365,7 @@ def reduce_decomposition(t: Tree) -> tuple[Tree, Isotopy]:
         from .autotopy import are_isotopic
         from .construct import linear
 
-        theta = are_isotopic(single.label, linear(struct.arity))
+        theta = are_isotopic(single.label, linear(struct.arity), cap=struct.arity)
         assert theta is not None
         edge_perms = dict(zip(single.slots, theta))
     else:
@@ -403,7 +395,7 @@ def _apply_edge_isotopy(struct: "_Structure", perms: dict[EdgeKey, Perm]) -> Tre
     """The tree with each label moved by the permutations on its edges, in preorder."""
     def rebuild(u: int) -> Node:
         info = struct.infos[u]
-        label = info.label.isotope(_node_isotopy(info, perms))
+        label = _isotope(info.label, _node_isotopy(info, perms))
         return Node(label, tuple(Leaf(ref) if kind == "leaf" else rebuild(ref)
                                  for kind, ref in info.slots[1:]))
 
@@ -598,11 +590,6 @@ def _fixes_labels(struct: _Structure, perms: dict[EdgeKey, Perm]) -> bool:
     return all(is_autotopy(info.label, _node_isotopy(info, perms)) for info in struct.infos)
 
 
-def is_decomposition_autotopy(t: Tree, edge_iso: EdgeIsotopy) -> bool:
-    """True iff the edge permutations fix every node label in place."""
-    return _fixes_labels(_Structure(t), edge_iso.perms)
-
-
 def _bunch_partition(struct: _Structure, members: frozenset[int]) -> PairPartition:
     """The common pair partition of a bunch's labels in a reduced tree."""
     rep = struct.infos[min(members)]
@@ -728,11 +715,35 @@ class MinimalityReport:
                 and self.degree4_labels_ok)
 
 
-def minimality_conditions(t: Tree) -> MinimalityReport:
-    """Check the degree/fork/bunch conditions plus the degree-4 label class."""
-    from .autotopy import are_isotopic
+@functools.lru_cache(maxsize=1)
+def _lbullet3_keys() -> frozenset[bytes]:
+    """The tables of shifted_linear(3) under all 24^3 argument isotopies, each
+    relabelled so that f(0, 0, .) reads 0123: 864 distinct 64-byte keys."""
     from .construct import shifted_linear
 
+    perms = np.array([p.images for p in PERMS], dtype=np.intp)
+    tables = shifted_linear(3).table[perms[:, None, None, :, None, None],
+                                     perms[None, :, None, None, :, None],
+                                     perms[None, None, :, None, None, :]].reshape(-1, ORDER**3)
+    # the inverse of each line f(0, 0, .), packed two bits per image as in _lookup
+    inverses = (np.arange(ORDER, dtype=np.uint8) << 2 * tables[:, :ORDER]).sum(1, dtype=np.uint8)
+    tables <<= 1
+    np.right_shift(inverses[:, None], tables, out=tables)
+    tables &= 3
+    return frozenset(map(bytes, tables))
+
+
+def _is_lbullet3(q: Quasigroup) -> bool:
+    """Whether ternary q is isotopic to shifted_linear(3), by lookup: relabelling
+    its values so that q(0, 0, .) reads 0123 fixes the value permutation, and
+    the keys hold every argument isotopy."""
+    return _lookup(Perm(q.table[0, 0]).inverse().images, q.table).tobytes() in _lbullet3_keys()
+
+
+def minimality_conditions(t: Tree) -> MinimalityReport:
+    """Check the degree/fork/bunch conditions plus the degree-4 label class:
+    each such label must be isotopic to shifted_linear(3), which `_is_lbullet3`
+    decides by a table lookup, without an isotopy search."""
     struct = _Structure(t)
     stats = _stats(struct)
     degrees = [struct.degree(u) for u in range(len(struct.infos))]
@@ -740,10 +751,8 @@ def minimality_conditions(t: Tree) -> MinimalityReport:
     single_nonbald = all(
         sum(1 for u in group if struct.leaf_count(u) > 0) <= 1
         for group in stats.bunch_members)
-    reference = shifted_linear(3)
-    degree4_ok = all(
-        are_isotopic(struct.infos[u].label, reference) is not None
-        for u in range(len(struct.infos)) if degrees[u] == 4)
+    degree4_ok = all(_is_lbullet3(info.label) for u, info in enumerate(struct.infos)
+                     if degrees[u] == 4)
     return MinimalityReport(
         no_high_degree=all(d <= 4 for d in degrees),
         no_forks=stats.n_forks == 0,

@@ -6,6 +6,13 @@ complement, so each coordinate carries one of the three pair partitions
 01|23, 02|13, 03|12.  The output partition forces the argument partitions
 through the zero-anchored sections, so detection costs three verified scans,
 each comparing the value's block with an xor of the argument blocks.
+
+Isotopes and compositions are profiled from their factors, without a scan.
+q.isotope(theta) respects (theta_0^-1 P_0, theta_1^-1 P_1, ...) iff q
+respects (P_0, P_1, ...).  C = A.compose_at(B, pos), C(y, z) = A(B(y), z),
+respects exactly a[:pos] + b[1:] + a[pos+1:] for a of A and b of B with
+b[0] = a[pos]: if C respects c, pulling c_0 back through A(., 0) gives a P
+such that B respects (P; c_y), and since B is onto, A respects (c_0; P; c_z).
 """
 
 from __future__ import annotations
@@ -136,7 +143,6 @@ def semilinear_profile(q: Quasigroup) -> SemilinearProfile:
     c ^ block_1(x_1) ^ ... ^ block_n(x_n) everywhere, c the block of f(0,...,0).
     Profiles are cached, within CACHE_ENTRIES and CACHE_BYTES of key tables.
     """
-    global _cache_bytes
     with _cache_lock:
         if q in _cache:
             _cache.move_to_end(q)
@@ -153,13 +159,36 @@ def semilinear_profile(q: Quasigroup) -> SemilinearProfile:
             expected = (p.mask[:, None] ^ expected).ravel()
         if np.array_equal(_lookup(p0.mask, q.table).ravel(), expected):
             found.append(tuple(assignment))
-    profile = SemilinearProfile(arity=n, assignments=tuple(found))
+    return _store(q, found)
+
+
+def _store(q: Quasigroup, assignments) -> SemilinearProfile:
+    """Cache q's profile, its assignments ordered by P_0 as a scan finds them."""
+    global _cache_bytes
+    profile = SemilinearProfile(arity=q.arity, assignments=tuple(sorted(assignments)))
     with _cache_lock:
         if _cache.setdefault(q, profile) is profile:
             _cache_bytes += q.table.nbytes
         while len(_cache) > CACHE_ENTRIES or _cache_bytes > CACHE_BYTES:
             _cache_bytes -= _cache.popitem(last=False)[0].table.nbytes
     return profile
+
+
+def _isotope(q: Quasigroup, theta: Isotopy) -> Quasigroup:
+    """q.isotope(theta), its profile derived from q's without a scan."""
+    image, inverses = q.isotope(theta), [p.inverse() for p in theta]
+    _store(image, [tuple(part.image_under(t) for part, t in zip(a, inverses))
+                   for a in semilinear_profile(q).assignments])
+    return image
+
+
+def _compose_at(outer: Quasigroup, inner: Quasigroup, pos: int) -> Quasigroup:
+    """outer.compose_at(inner, pos), its profile derived from theirs without a scan."""
+    composed = outer.compose_at(inner, pos)
+    inner_at = {b[0]: b[1:] for b in semilinear_profile(inner).assignments}
+    _store(composed, [a[:pos] + inner_at[a[pos]] + a[pos + 1:]
+                      for a in semilinear_profile(outer).assignments if a[pos] in inner_at])
+    return composed
 
 
 def is_semilinear(q: Quasigroup) -> bool:

@@ -1,10 +1,15 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from qg4 import linear, parse_table, qg4_text, z4
+from qg4 import (ConstructionTSpec, Isotopy, PERMS, Perm, construction_t, linear, loads_tree,
+                 parse_table, qg4_text, tree_eval, z4)
+from qg4.construct import random_semilinear_composition
 from qg4 import cli
 from qg4.cli import (
     EXIT_CAP,
@@ -127,6 +132,44 @@ class TestDecompose:
         doc = json.loads(out)
         assert "isotopy" in doc
         assert doc["stats"]["structural_lower_bound"] == 16
+
+    def test_reduced_linear_above_the_search_cap(self, tmp_path):
+        # the lone linear node is normalized by an isotopy search at its own arity
+        q = linear(7).isotope(Isotopy(PERMS[(5 * k + 3) % 24] for k in range(8)))
+        path = tmp_path / "l7.qg4"
+        path.write_text(qg4_text(q))
+        code, out = invoke(["decompose", str(path), "--reduced"])
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        theta = Isotopy(Perm(int(x) for x in s) for s in doc["isotopy"])
+        tree = loads_tree(json.dumps(doc["tree"]))
+        assert q.isotope(theta) == tree_eval(tree) == linear(7)
+
+
+class TestSameBytesInEveryProcess:
+    """Output never depends on the salt of str and bytes hashes."""
+
+    def test_hash_seeds_print_the_same_bytes(self, tmp_path):
+        inputs = {
+            "c5": random_semilinear_composition(5, 101),
+            "c6": random_semilinear_composition(6, 108),
+            "t9": construction_t(ConstructionTSpec.random(9, 1))[1],
+            "c9": random_semilinear_composition(9, 1),
+        }
+        for name, q in inputs.items():
+            (tmp_path / f"{name}.qg4").write_text(qg4_text(q))
+        argvs = [["analyze", "c5.qg4", "--json"], ["analyze", "c6.qg4", "--json"],
+                 ["decompose", "t9.qg4", "--reduced"], ["decompose", "c9.qg4", "--reduced"]]
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+        def outputs(seed):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            return [subprocess.run([sys.executable, "-m", "qg4.cli", *argv], cwd=tmp_path,
+                                   env=env, capture_output=True, check=True).stdout
+                    for argv in argvs]
+
+        first = outputs(0)
+        assert all(first) and outputs(1) == first
 
 
 class TestVerify:

@@ -1,8 +1,11 @@
+import dataclasses
+import functools
 import io
 import itertools
 import json
 import logging
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from qg4 import (
     Isotopy,
     Perm,
     Quasigroup,
+    all_binary_quasigroups,
     are_coherent,
     are_isotopic,
     autotopy_group,
@@ -43,13 +47,13 @@ from qg4 import (
     xor2,
     z4,
 )
-from qg4 import cli, qg4_text
-from qg4.decompose import (Leaf, Node, _permute_args, _try_split, is_proper, iter_nodes,
-                           validate_tree)
+from qg4 import autotopy, cli, qg4_text
+from qg4.decompose import (Leaf, Node, _is_lbullet3, _lbullet3_keys, _permute_args, _try_split,
+                           is_proper, iter_nodes, validate_tree)
 from qg4.semilinear import PARTITIONS
 from qg4.construct import conjugate_uniform, random_semilinear_composition
 
-from conftest import oracle_tables, random_isotopy
+from conftest import acceptance_corpus, oracle_tables, random_isotopy
 
 P01, P02, P03 = PARTITIONS
 
@@ -503,6 +507,87 @@ class TestMinimality:
         report = minimality_conditions(t)
         assert not report.no_forks
         assert not report.satisfied
+
+
+@functools.lru_cache(maxsize=1)
+def latin_cubes():
+    """All 55,296 ternary quasigroups of order 4: layers a, b, c, 6 - a - b - c
+    along x_1 for pairwise cellwise-disjoint squares a, b, c."""
+    squares = np.array([q.table.ravel() for q in all_binary_quasigroups()])
+    disjoint = (squares[:, None] != squares[None, :]).all(axis=2)
+    stacks = []
+    for a in range(len(squares)):
+        near = np.flatnonzero(disjoint[a])
+        b, c = (near[k] for k in np.nonzero(disjoint[np.ix_(near, near)]))
+        stacks.append(np.stack([np.broadcast_to(squares[a], (len(b), 16)), squares[b],
+                                squares[c], 6 - squares[a] - squares[b] - squares[c]], axis=1))
+    cubes = np.concatenate(stacks).astype(np.uint8).reshape(-1, 4, 4, 4)
+    for axis in (1, 2, 3):  # every line a bijection; the forced layer included
+        assert (np.bitwise_or.reduce(1 << cubes, axis=axis) == 15).all()
+    return tuple(Quasigroup(c, _trusted=True) for c in cubes)
+
+
+@functools.lru_cache(maxsize=1)
+def reduced_trees():
+    """Reduced trees of construction_t at n = 5, 7, 9, 11 and of the acceptance corpus."""
+    tables = [construction_t(ConstructionTSpec.random(n, seed))[1]
+              for n in (5, 7, 9, 11) for seed in range(3)]
+    tables += [q for _name, q in acceptance_corpus()]
+    return tuple(reduce_decomposition(proper_decomposition(q))[0] for q in tables)
+
+
+def minimality_by_search(t):
+    """The report with the reference route for the degree-4 class: one isotopy
+    search per degree-4 (ternary) label against shifted_linear(3)."""
+    reference = shifted_linear(3)
+    searched = all(are_isotopic(node.label, reference) is not None
+                   for node, _ in iter_nodes(t) if node.label.arity == 3)
+    return dataclasses.replace(minimality_conditions(t), degree4_labels_ok=searched)
+
+
+class TestLbullet3Class:
+    """The degree-4 label class is decided by lookup: checked against the
+    isotopy search, and by orbit-stabilizer over all Latin cubes."""
+
+    def test_class_size_is_24_to_the_4_over_the_group_order(self):
+        cubes = latin_cubes()
+        order = autotopy_group(shifted_linear(3)).order
+        assert len(cubes) == 55296 and order == 16
+        assert sum(map(_is_lbullet3, cubes)) == 24**4 // order == 20736
+        # 24^4 / 16 tables, 24 per key: each key's line f(0, 0, .) reads 0123
+        keys = _lbullet3_keys()
+        assert len(keys) == 864 and {key[:4] for key in keys} == {bytes(range(4))}
+
+    def test_agrees_with_the_isotopy_search(self):
+        reference = shifted_linear(3)
+        verdicts = Counter()
+        for q in random.Random(4313).sample(latin_cubes(), 320):
+            found = are_isotopic(q, reference) is not None
+            assert _is_lbullet3(q) == found
+            verdicts[found] += 1
+        assert min(verdicts.values()) >= 100, verdicts
+
+    def test_reports_match_the_search_route(self):
+        outcomes = Counter()
+        for t in reduced_trees():
+            report = minimality_conditions(t)
+            assert report == minimality_by_search(t)
+            if any(node.label.arity == 3 for node, _ in iter_nodes(t)):
+                outcomes[report.degree4_labels_ok] += 1
+        assert outcomes[True] >= 10 and outcomes[False] >= 10, outcomes
+
+    def test_minimality_does_not_search(self, monkeypatch):
+        trees = [t for t in reduced_trees() if any(
+            node.label.arity == 3 for node, _ in iter_nodes(t))]
+        expected = [minimality_conditions(t) for t in trees]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("minimality_conditions searched for an isotopy")
+
+        monkeypatch.setattr(autotopy, "are_isotopic", refuse)
+        monkeypatch.setattr(autotopy, "_first_isotopy", refuse)
+        _lbullet3_keys.cache_clear()  # the keys are built without a search too
+        assert [minimality_conditions(t) for t in trees] == expected
 
 
 class TestReroot:

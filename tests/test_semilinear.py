@@ -2,6 +2,7 @@ import itertools
 import random
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
@@ -30,8 +31,10 @@ from qg4 import semilinear
 from qg4.core import Quasigroup
 from qg4.semilinear import PairPartition, PARTITIONS
 from qg4.construct import chain, random_semilinear_composition
+from qg4.decompose import (full_decomposition, iter_nodes, proper_decomposition,
+                           reduce_decomposition)
 
-from conftest import oracle_tables, random_isotopy
+from conftest import acceptance_corpus, oracle_tables, random_isotopy
 
 P01, P02, P03 = PARTITIONS
 
@@ -183,6 +186,91 @@ class TestProfileCache:
             semilinear_profile(q)
         semilinear_profile(squares[2])  # a hit moves it to the back
         assert list(semilinear._cache) == [squares[3], squares[4], squares[2]]
+
+
+def drop(q):
+    """Forget q's cached profile, keeping the byte count."""
+    with semilinear._cache_lock:
+        if semilinear._cache.pop(q, None) is not None:
+            semilinear._cache_bytes -= q.table.nbytes
+
+
+def fresh_scan(q):
+    drop(q)
+    return semilinear_profile(q)
+
+
+class TestDerivedProfiles:
+    """Profiles of isotopes and compositions are derived from their factors'
+    profiles, not scanned, and equal a fresh scan in value and order."""
+
+    @pytest.fixture(autouse=True)
+    def counted_scans(self, monkeypatch):
+        monkeypatch.setattr(semilinear, "_cache", type(semilinear._cache)())
+        monkeypatch.setattr(semilinear, "_cache_bytes", 0)
+        self.scanned = []  # the tables scanned, once per partition
+        lookup = semilinear._lookup
+
+        def counted(images, table):
+            self.scanned.append(table.tobytes())
+            return lookup(images, table)
+
+        monkeypatch.setattr(semilinear, "_lookup", counted)
+
+    def check(self, derive, sources, out):
+        """derive() must store out's profile without a scan, equal to a fresh one."""
+        for q in sources:
+            semilinear_profile(q)
+        drop(out)
+        before = len(self.scanned)
+        assert derive() == out
+        if out not in sources:  # an autotopy maps q to itself, so dropping out drops q
+            assert len(self.scanned) == before
+        derived = semilinear._cache[out]
+        assert derived == fresh_scan(out)
+        return len(derived.assignments)
+
+    def test_isotopes_and_compositions_of_the_oracle_tables(self):
+        rng = random.Random(1313)
+        tables = [q for q in oracle_tables() if q.arity <= 8]
+        by_arity = {}
+        for q in tables:
+            by_arity.setdefault(q.arity, []).append(q)
+        sizes = {"isotope": Counter(), "composition": Counter()}
+        for q in tables:
+            theta = random_isotopy(q.arity, rng)
+            sizes["isotope"][self.check(lambda: semilinear._isotope(q, theta), [q],
+                                        q.isotope(theta))] += 1
+            if q.arity == 8:
+                continue  # any composition with it has arity 9 or more
+            other = rng.choice(by_arity[rng.randint(2, 9 - q.arity)])
+            outer, inner = (q, other) if rng.getrandbits(1) else (other, q)
+            pos = rng.randint(1, outer.arity)
+            sizes["composition"][self.check(
+                lambda: semilinear._compose_at(outer, inner, pos), [outer, inner],
+                outer.compose_at(inner, pos))] += 1
+        assert sum(sizes["isotope"].values()) == len(tables)
+        for kind in sizes.values():  # not, once, and linearly semilinear all occur
+            assert {0, 1, 3} <= set(kind), sizes
+        assert semilinear._cache_bytes == sum(k.table.nbytes for k in semilinear._cache)
+
+    def test_decomposition_labels_hold_scanned_profiles(self):
+        for name, q in acceptance_corpus():
+            before = len(self.scanned)
+            proper = proper_decomposition(q)
+            full = {node.label.table.tobytes() for node, _ in iter_nodes(full_decomposition(q))}
+            # merged labels are derived: only the full decomposition's are scanned
+            assert set(self.scanned[before:]) <= full, name
+            before = len(self.scanned)
+            reduced, _theta = reduce_decomposition(proper)
+            # and the reduced labels are derived from the proper ones
+            assert set(self.scanned[before:]) <= {node.label.table.tobytes()
+                                                  for node, _ in iter_nodes(proper)}, name
+            assert semilinear._cache_bytes == sum(k.table.nbytes for k in semilinear._cache)
+            labels = [node.label for t in (proper, reduced) for node, _ in iter_nodes(t)]
+            cached = [semilinear._cache[label] for label in labels]
+            for label, profile in zip(labels, cached):
+                assert profile == fresh_scan(label), name
 
 
 class TestMembership:
