@@ -62,9 +62,9 @@ def _isotopy_strs(theta: Isotopy) -> list[str]:
     return [_perm_str(p) for p in theta.parts]
 
 
-def _read_quasigroup(path: str) -> Quasigroup:
+def _read_quasigroup(path: str, latin: bool = True) -> Quasigroup:
     with open(path, "rb") as fh:
-        return parse_table(fh.read())
+        return parse_table(fh.read(), _latin=latin)
 
 
 def _stats_doc(stats: dec.TreeStats) -> dict:
@@ -164,14 +164,14 @@ def _cmd_atp(args, out) -> int:
 
 
 def _cmd_decompose(args, out) -> int:
-    q = _read_quasigroup(args.file)
+    q = _read_quasigroup(args.file, latin=False)  # the decomposition certifies it
     if args.reduced:
-        tree, relating = dec.reduce_decomposition(dec.proper_decomposition(q))
+        tree, relating = dec.reduce_decomposition(dec.proper_decomposition(q, _latin=False))
         extra = {"isotopy": _isotopy_strs(relating)}
     elif args.proper:
-        tree, extra = dec.proper_decomposition(q), {}
+        tree, extra = dec.proper_decomposition(q, _latin=False), {}
     else:
-        tree, extra = dec.full_decomposition(q), {}
+        tree, extra = dec.full_decomposition(q, _latin=False), {}
     doc = {
         "tree": dec.tree_to_doc(tree),
         "stats": _stats_doc(dec.tree_stats(tree)),

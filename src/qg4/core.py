@@ -332,8 +332,10 @@ class Quasigroup:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_digits(cls, arity: int, digits: str | bytes | memoryview) -> "Quasigroup":
-        """The table from its 4^arity digits, as text or as ASCII bytes read in place."""
+    def from_digits(cls, arity: int, digits: str | bytes | memoryview, *,
+                    _latin: bool = True) -> "Quasigroup":
+        """The table from its 4^arity digits, as text or as ASCII bytes read in place;
+        `_latin=False` skips the Latin check, for `full_decomposition(q, _latin=False)`."""
         if arity < 1 or arity > MAX_ARITY:
             raise FormatError(f"unsupported arity {arity}")
         if len(digits) != ORDER**arity:
@@ -346,7 +348,8 @@ class Quasigroup:
             bad = digits[int(np.argmax(arr > 3))]
             raise FormatError(f"invalid table digit {bad if isinstance(bad, str) else chr(bad)!r}")
         arr = arr.reshape((ORDER,) * arity)
-        _require_latin(arr)  # the digit check above was the symbol scan
+        if _latin:
+            _require_latin(arr)  # the digit check above was the symbol scan
         arr.setflags(write=False)  # a fresh array: Quasigroup need not copy it
         return cls(arr, _trusted=True)
 
@@ -458,7 +461,7 @@ class Quasigroup:
 # qg4 file format
 # ---------------------------------------------------------------------------
 
-def parse_table(data: bytes | str) -> Quasigroup:
+def parse_table(data: bytes | str, *, _latin: bool = True) -> Quasigroup:
     """Parse the qg4 format: "qg4 <n>\\n<4^n digits>\\n", nothing else.
 
     The digits of bytes input are read in place, not decoded to text.  The
@@ -474,7 +477,7 @@ def parse_table(data: bytes | str) -> Quasigroup:
         if len(parts) != 2 or parts[0] != "qg4" or not parts[1].isdigit():
             raise FormatError(f"malformed header {header!r}; expected 'qg4 <n>'")
         body = data[cut + 1:-1] if isinstance(data, str) else memoryview(data)[cut + 1:-1]
-        return Quasigroup.from_digits(int(parts[1]), body)
+        return Quasigroup.from_digits(int(parts[1]), body, _latin=_latin)
     except FormatError:
         if isinstance(data, bytes) and not data.isascii():
             raise FormatError("qg4 file is not ASCII") from None

@@ -7,6 +7,15 @@ leaf x_0 in the unrooted view used by the counting machinery, so every node
 of arity k has degree k+1 there.  Splits are found probe first: every
 argument subset of one size is tested at a few cells at once, and only the
 survivors are checked on the whole table.
+
+A table read by `qg4 decompose` is not Latin-checked up front: its
+decomposition certifies it.  A split that passes the full check gives
+q(a, r) = outer(inner(a), r) on every cell, and a composition of
+quasigroups is a quasigroup, so q is Latin iff every final label is, and
+those are checked when the recursion ends.  A Latin q has Latin factors (they
+are restrictions of q), so it gets the same tree as on the eager route.  The
+first failed full check on a table not yet certified Latin-checks it, which
+bounds the failure path; any failure ends in the eager check of the input.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ from .core import (
     Perm,
     Quasigroup,
     _lookup,
+    _require_latin,
     _splitmix,
 )
 from .autotopy import is_autotopy
@@ -183,12 +193,13 @@ def _try_split(q: Quasigroup, subset: tuple[int, ...]):
     reps = []
     for v in range(ORDER):
         members = flat[inner_vals == v]
-        if not (members == members[0]).all():
+        if not len(members) or not (members == members[0]).all():  # empty: q is not Latin
             return None
         reps.append(int(np.argmax(inner_vals == v)))
-    # Trusted: q is Latin and q(a, r) = outer(inner(a), r) on every cell.  On a
-    # line of inner, q(., r) is injective, so inner is too and takes all four
-    # values, where outer(., r) meets q's four.  outer's other lines are q's.
+    # Trusted if q is (else _decompose checks them): q(a, r) = outer(inner(a), r)
+    # on every cell.  On a line of inner, q(., r) is injective, so inner is too
+    # and takes all four values, where outer(., r) meets q's four.  outer's other
+    # lines are q's.
     inner = Quasigroup(inner_vals.reshape((ORDER,) * m), _trusted=True)
     outer = Quasigroup(flat[reps].reshape((ORDER,) * (n - m + 1)), _trusted=True)
     return inner, outer
@@ -207,7 +218,7 @@ def _split_probe(n: int, m: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
     return subsets, (rest.T[:, :, None] + inside.T[:, None, :]).astype(np.int32)
 
 
-def find_split(q: Quasigroup):
+def find_split(q: Quasigroup, *, _missed=None):
     """Smallest-then-lexicographic argument subset splitting q, or None.
 
     Returns (subset, inner, outer) with q = outer(inner(x_subset), x_rest),
@@ -217,7 +228,8 @@ def find_split(q: Quasigroup):
     Probe first: if the subset splits, q(a, r) = sigma_r(q(a, 0)) for every
     completion r of the other arguments.  All subsets of one size are probed
     at once at a few fixed r, and only those where q(a, r) is a function of
-    q(a, 0) get the full check, in lexicographic order.
+    q(a, 0) get the full check, in lexicographic order.  `_missed`, if given,
+    is called after each full check that fails.
     """
     n, found, probed, survivors, checks = q.arity, None, 0, 0, 0
     for size in range(2, n):
@@ -234,6 +246,8 @@ def find_split(q: Quasigroup):
             if (got := _try_split(q, subsets[i])) is not None:
                 found = subsets[i], *got
                 break
+            if _missed is not None:
+                _missed()
         if found:
             break
     _log.debug("split: arity %d, %d subsets probed, %d probe survivors, %d full checks, "
@@ -247,25 +261,42 @@ def _substitute_leaves(t: Tree, mapping: dict[int, Tree]) -> Tree:
     return Node(t.label, tuple(_substitute_leaves(c, mapping) for c in t.children))
 
 
-def _decompose(q: Quasigroup) -> Tree:
-    split = find_split(q)
+def _decompose(q: Quasigroup, latin: bool) -> Tree:
+    def certify() -> None:  # at most once per table: it bounds the failure path
+        nonlocal latin
+        if not latin:
+            _require_latin(q.table)
+            latin = True
+
+    split = find_split(q, _missed=certify)
     if split is None:
+        certify()
         return Node(q, tuple(Leaf(i) for i in range(1, q.arity + 1)))
     subset, inner, outer = split
     rest = [i for i in range(1, q.arity + 1) if i not in subset]
     inner_tree = _substitute_leaves(
-        _decompose(inner), {k + 1: Leaf(subset[k]) for k in range(len(subset))})
+        _decompose(inner, latin), {k + 1: Leaf(subset[k]) for k in range(len(subset))})
     mapping: dict[int, Tree] = {1: inner_tree}
     for j, var in enumerate(rest, start=2):
         mapping[j] = Leaf(var)
-    return _substitute_leaves(_decompose(outer), mapping)
+    return _substitute_leaves(_decompose(outer, latin), mapping)
 
 
-def full_decomposition(q: Quasigroup) -> Tree:
-    """Split recursively until every label is irreducible."""
-    if q.arity < 2:
-        raise ArityError("decomposition needs arity at least 2")
-    return _decompose(q)
+def full_decomposition(q: Quasigroup, *, _latin: bool = True) -> Tree:
+    """Split recursively until every label is irreducible.
+
+    `_latin=False` takes a q not yet known to be Latin and certifies it
+    through the splits (see the module docstring).  Any failure then runs the
+    eager check on q, which raises LatinError unless q is Latin; if it is, the
+    failure is re-raised."""
+    try:
+        if q.arity < 2:
+            raise ArityError("decomposition needs arity at least 2")
+        return _decompose(q, _latin)
+    except Exception:
+        if not _latin:
+            _require_latin(q.table)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +339,9 @@ def _first_coherent_pair(t: Tree):
     return None
 
 
-def proper_decomposition(q: Quasigroup) -> Tree:
+def proper_decomposition(q: Quasigroup, *, _latin: bool = True) -> Tree:
     """Merge coherent pairs of the full decomposition until none remain."""
-    return merge_coherent(full_decomposition(q))
+    return merge_coherent(full_decomposition(q, _latin=_latin))
 
 
 def merge_coherent(t: Tree) -> Tree:
@@ -587,7 +618,9 @@ def _node_isotopy(info: _NodeInfo, perms: dict[EdgeKey, Perm]) -> Isotopy:
 
 
 def _fixes_labels(struct: _Structure, perms: dict[EdgeKey, Perm]) -> bool:
-    return all(is_autotopy(info.label, _node_isotopy(info, perms)) for info in struct.infos)
+    """Every node's label is fixed; the identity fixes any label, so it is not checked."""
+    return all(is_autotopy(info.label, theta) for info in struct.infos
+               if not (theta := _node_isotopy(info, perms)).is_identity)
 
 
 def _bunch_partition(struct: _Structure, members: frozenset[int]) -> PairPartition:

@@ -1,16 +1,21 @@
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qg4 import (ConstructionTSpec, Isotopy, PERMS, Perm, construction_t, linear, loads_tree,
                  parse_table, qg4_text, tree_eval, z4)
 from qg4.construct import random_semilinear_composition
-from qg4 import cli
+from qg4 import cli, core
+from qg4 import decompose as dec
+from qg4.core import LatinError
 from qg4.cli import (
     EXIT_CAP,
     EXIT_FORMAT,
@@ -160,16 +165,116 @@ class TestSameBytesInEveryProcess:
             (tmp_path / f"{name}.qg4").write_text(qg4_text(q))
         argvs = [["analyze", "c5.qg4", "--json"], ["analyze", "c6.qg4", "--json"],
                  ["decompose", "t9.qg4", "--reduced"], ["decompose", "c9.qg4", "--reduced"]]
+        first = self.outputs(tmp_path, argvs, 0)
+        assert all(first) and self.outputs(tmp_path, argvs, 1) == first
+
+    def test_every_decompose_mode_prints_the_same_bytes(self, tmp_path):
+        (tmp_path / "c10.qg4").write_text(qg4_text(random_semilinear_composition(10, 1)))
+        argvs = [["decompose", "c10.qg4", *mode] for mode in ([], ["--proper"], ["--reduced"])]
+        first = self.outputs(tmp_path, argvs, 0)
+        assert all(first) and self.outputs(tmp_path, argvs, 1) == first
+        assert [out.decode() for out in first] == [invoke([argv[0], str(tmp_path / argv[1]),
+                                                           *argv[2:]])[1] for argv in argvs]
+
+    @staticmethod
+    def outputs(cwd, argvs, seed):
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        return [subprocess.run([sys.executable, "-m", "qg4.cli", *argv], cwd=cwd,
+                               env=env, capture_output=True, check=True).stdout
+                for argv in argvs]
 
-        def outputs(seed):
-            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
-            return [subprocess.run([sys.executable, "-m", "qg4.cli", *argv], cwd=tmp_path,
-                                   env=env, capture_output=True, check=True).stdout
-                    for argv in argvs]
 
-        first = outputs(0)
-        assert all(first) and outputs(1) == first
+class TestCertifiedDecompose:
+    """`qg4 decompose` reads its input without the Latin check and lets the
+    decomposition certify it; a non-Latin input gets the eager check's error."""
+
+    def test_failure_path_is_bounded(self, tmp_path, monkeypatch, capsys):
+        try_split, violation = dec._try_split, core._latin_violation
+        failed, at_check = [0], []
+
+        def counting_split(q, subset):
+            got = try_split(q, subset)
+            failed[0] += got is None
+            return got
+
+        def noting_check(table):
+            at_check.append(failed[0])
+            return violation(table)
+
+        monkeypatch.setattr(dec, "_try_split", counting_split)
+        monkeypatch.setattr(core, "_latin_violation", noting_check)
+        grid = np.indices((4,) * 11, dtype=np.uint8)
+        path = tmp_path / "bad.qg4"
+        for table, message in ((np.zeros_like(grid[0]), "argument 1"), (grid[0], "argument 2")):
+            text = b"qg4 11\n" + (table.ravel() + ord("0")).tobytes() + b"\n"
+            with pytest.raises(LatinError, match=message) as eager:
+                parse_table(text)
+            path.write_bytes(text)
+            for mode in ([], ["--proper"], ["--reduced"]):
+                failed[0], at_check[:] = 0, []
+                code, out = invoke(["decompose", str(path), *mode])
+                assert (code, out, capsys.readouterr().err) == (
+                    EXIT_LATIN, "", f"error: {eager.value}\n")
+                assert at_check and at_check[0] <= 1
+
+
+def run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(argv, out=out)
+    return code, out.getvalue(), err.getvalue()
+
+
+MUTATION_BASES = [z4(), linear(3), construction_t(ConstructionTSpec.random(3, 1))[1],
+                  random_semilinear_composition(4, 7), construction_t(ConstructionTSpec.random(5, 2))[1]]
+HEADERS = [b"qg4", b"qg4 ", b"qg4  3", b"qg5 3", b"qg4 x", b"qg4 -3", b"qg4 0", b"qg4 1",
+           b"qg4 2", b"qg4 3", b"qg4 4", b"qg4 13", b"QG4 3", b"qg4 3 "]
+
+
+def mutate(data, text: bytes, kind: str) -> bytes:
+    body = text.find(b"\n") + 1  # 0 when the header line is gone
+    if kind == "header":
+        return data.draw(st.sampled_from(HEADERS)) + text[max(body - 1, 0):]
+    if len(text) - 1 <= body:
+        return text
+    pos = data.draw(st.integers(body, len(text) - 2))
+    out = bytearray(text)
+    if kind == "digit":
+        out[pos] = ord("0") + (out[pos] + data.draw(st.integers(1, 3))) % 4
+    elif kind == "swap":
+        other = data.draw(st.integers(body, len(text) - 2))
+        out[pos], out[other] = out[other], out[pos]
+    elif kind == "symbol":
+        out[pos] = data.draw(st.sampled_from(b"45x \n\r\x00\xff-"))
+    else:  # truncate, keeping or dropping the final newline
+        out = out[:pos] + data.draw(st.sampled_from([b"", b"\n"]))
+    return bytes(out)
+
+
+@settings(max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_mutated_files_exit_cleanly(data):
+    """Every mutated file maps to a documented exit code with no traceback, and
+    `decompose` rejects what `atp` rejects with the same error."""
+    text = qg4_text(data.draw(st.sampled_from(MUTATION_BASES))).encode()
+    kinds = data.draw(st.lists(st.sampled_from(["digit", "swap", "symbol", "truncate", "header"]),
+                               min_size=1, max_size=3))
+    for kind in kinds:
+        text = mutate(data, text, kind)
+    commands = [["analyze", "--json"], ["atp"], ["decompose"], ["decompose", "--proper"],
+                ["decompose", "--reduced"]]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "q.qg4")
+        with open(path, "wb") as fh:
+            fh.write(text)
+        results = [run_captured([argv[0], path, *argv[1:]]) for argv in commands]
+    for code, _out, err in results:
+        assert code in (EXIT_OK, EXIT_FORMAT, EXIT_LATIN, EXIT_CAP) and "Traceback" not in err
+    code, _out, err = results[1]
+    if code != EXIT_OK:
+        assert all((c, e) == (code, err) for c, _o, e in results[2:])
 
 
 class TestVerify:

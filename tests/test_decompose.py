@@ -47,7 +47,9 @@ from qg4 import (
     xor2,
     z4,
 )
-from qg4 import autotopy, cli, qg4_text
+from qg4 import autotopy, cli, core, qg4_text
+from qg4 import decompose as dec
+from qg4.core import PERMS, LatinError
 from qg4.decompose import (Leaf, Node, _is_lbullet3, _lbullet3_keys, _permute_args, _try_split,
                            is_proper, iter_nodes, validate_tree)
 from qg4.semilinear import PARTITIONS
@@ -637,3 +639,111 @@ class TestSerialization:
                      'not json'):
             with pytest.raises(FormatError):
                 loads_tree(text)
+
+
+def mutants(q, rng):
+    """One changed digit, then two swaps of unequal digits: three non-Latin tables."""
+    flat = q.table.ravel()
+    changed = flat.copy()
+    k = rng.randrange(flat.size)
+    changed[k] = (changed[k] + rng.randrange(1, 4)) % 4
+    out = [changed]
+    for _ in range(2):
+        i, j = rng.sample(range(flat.size), 2)
+        while flat[i] == flat[j]:
+            i, j = rng.sample(range(flat.size), 2)
+        swapped = flat.copy()
+        swapped[i], swapped[j] = flat[j], flat[i]
+        out.append(swapped)
+    return [m.reshape(q.table.shape) for m in out]
+
+
+def unlatin_tables(n):
+    """At arity n: a constant table, the projection onto x_1, and the table
+    where only x_n's sections repeat."""
+    grid = np.indices((4,) * n, dtype=np.uint8)
+    return [np.zeros((4,) * n, dtype=np.uint8), grid[0],
+            ((grid[:-1].sum(axis=0) + grid[-1] // 2) % 4).astype(np.uint8)]
+
+
+def digits(table):
+    return (table.ravel() + ord("0")).tobytes()
+
+
+class TestCertifiedDecomposition:
+    """`full_decomposition(q, _latin=False)` certifies q through its splits:
+    checked against the eager Latin check and the eagerly parsed route."""
+
+    def test_matches_the_eager_route(self):
+        rng = random.Random(15)
+        tables = []
+        for q in oracle_tables():
+            if q.arity <= 8:
+                tables += [q.table] + mutants(q, rng)
+        tables += unlatin_tables(10)
+        latin = 0
+        for table in tables:
+            n = table.ndim
+            q = Quasigroup.from_digits(n, digits(table), _latin=False)
+            if core._latin_violation(table) is None:
+                latin += 1
+                assert full_decomposition(q, _latin=False) == full_decomposition(
+                    Quasigroup.from_digits(n, digits(table)))
+                continue
+            with pytest.raises(LatinError) as eager:
+                Quasigroup.from_digits(n, digits(table))
+            with pytest.raises(LatinError) as certified:
+                full_decomposition(q, _latin=False)
+            assert str(certified.value) == str(eager.value)
+        assert 4 * latin + 3 == len(tables) and latin > 800  # every mutant is rejected
+
+    def test_a_failure_of_a_latin_table_is_reraised(self, monkeypatch):
+        def fail(q, _latin):
+            raise RuntimeError("route failed")
+
+        monkeypatch.setattr(dec, "_decompose", fail)
+        with pytest.raises(RuntimeError, match="route failed"):
+            full_decomposition(chain(5), _latin=False)
+        with pytest.raises(LatinError):
+            full_decomposition(Quasigroup(unlatin_tables(3)[2], _trusted=True), _latin=False)
+
+
+def reference_fixes_labels(struct, perms):
+    """Every node checked, the identity isotopies included."""
+    return all(dec.is_autotopy(info.label, dec._node_isotopy(info, perms))
+               for info in struct.infos)
+
+
+class TestStructuralChecks:
+    def test_identity_isotopies_are_not_checked(self, monkeypatch):
+        checked = []
+
+        def counting(q, theta):
+            checked.append(theta.is_identity)
+            return is_autotopy(q, theta)
+
+        monkeypatch.setattr(dec, "is_autotopy", counting)
+        for t in reduced_trees():
+            checked.clear()
+            got = [(g.perms, g.origin) for g in structural_autotopies(t)]
+            new = checked[:]
+            checked.clear()
+            with monkeypatch.context() as m:
+                m.setattr(dec, "_fixes_labels", reference_fixes_labels)
+                want = [(g.perms, g.origin) for g in structural_autotopies(t)]
+            assert got == want
+            assert not any(new)
+            assert len(new) == checked.count(False)
+
+    def test_is_autotopy_with_identity_on_values(self):
+        rng = random.Random(7)
+        for q in oracle_tables():
+            if q.arity > 5:
+                continue
+            theta = random_isotopy(q.arity, rng)
+            for parts in (theta.parts, (PERMS[0],) + theta.parts[1:],
+                          (PERMS[0],) * (q.arity + 1)):
+                theta = Isotopy(parts)
+                want = np.array_equal(core._lookup(theta[0].images, q.table),
+                                      core._gather(q.table, theta.parts[1:]))
+                assert is_autotopy(q, theta) == want
