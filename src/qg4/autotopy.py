@@ -9,15 +9,19 @@ pass; a block too large for one full-table check block first meets two
 rounds of fixed probe cells, which reject most wrong candidates, and a
 candidate is a hit only once it holds on the whole table.
 
-|Atp(f)| = |orbit of the anchor| * |stabilizer|.  The search verifies the
-candidates at the anchor first, so the subgroup H it grows always holds the
-stabilizer, and every autotopy whose target lies in H's orbit of the anchor is
-in H already.  The other targets are taken lazily in flat order, in blocks of
-the next 1, 2, 4, ... targets outside H's orbit, back to one after a block
-that adds a generator; each hit outside H becomes a generator, and H grows by
-its new right cosets, with membership a bool array over the dense index; a
-coset that meets H, or fewer marks than rows, means the index collided.
-Once a block after the anchor adds no generator, targets are also pruned by
+|Atp(f)| = |orbit of the anchor| * |stabilizer|.  The first block is the
+anchor and the n unit targets, the flat indices 4^j, where a transitive group
+has its generators.  Its hits at the anchor are exactly the stabilizer, a
+group, so the subgroup H the search grows starts as the stabilizer in one
+step, and every autotopy whose target lies in H's orbit of the anchor is in H
+already.  The other targets are taken lazily in flat order from target 1, in
+blocks of the next 1, 2, 4, ... targets outside H's orbit, back to one after a
+block that adds a generator; each hit outside H becomes a generator, and H
+grows by its new right cosets, with membership a bool array over the dense
+index.  A row's target is its index // 6, so H's orbit is read off the
+membership, with no pass over the rows; a coset that meets H, or fewer marks
+than rows, means the index collided.
+Once a block after the first adds no generator, targets are also pruned by
 their 2-D sections: an isotopy maps the (i, j)-section through the anchor
 onto an isotopic one through its target, and an order-4 Latin square is of
 Z4 or of Klein type; the open targets left must match the anchor's count of
@@ -25,8 +29,9 @@ Klein-type (i, j)-sections along x_k in each (i, j, k)-cube.  A target outside
 H's final orbit was pruned or had all its candidates rejected, so orbit(H) =
 orbit(G) and the group is exact.  The same candidates and the same filter
 between two quasigroups decide isotopy at the first hit.  The rows come out
-in key order, and greedy generators are read off them layer by layer down the
-kernel chain of that order, with no second closure.
+in key order with their keys and the orbit, cached together, and greedy
+generators are read off them layer by layer down the kernel chain of that
+order, with no second closure.
 """
 
 from __future__ import annotations
@@ -346,8 +351,9 @@ def _next_targets(open_: np.ndarray, start: int, size: int) -> np.ndarray:
         width *= 4
 
 
-def _autotopies(q: Quasigroup) -> np.ndarray:
-    """Rows of the autotopies of q in key order, by the orbit-stabilizer search."""
+def _autotopies(q: Quasigroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows of the autotopies of q in key order, their keys, and a bool mask of
+    the anchor's orbit over the flat index, by the orbit-stabilizer search."""
     cand, n = _Candidates(q, q), q.arity
     c0 = int(cand.con[0])
 
@@ -356,38 +362,41 @@ def _autotopies(q: Quasigroup) -> np.ndarray:
 
     member = np.zeros(6 * 4**n, dtype=bool)
     open_ = cand.open  # targets neither swept, in H's orbit nor pruned
-    known, gens = np.zeros((1, n + 1), dtype=np.uint8), np.empty((0, n + 1), dtype=np.uint8)
-    member[index(known)] = True  # H starts as the identity
+    gens, known = np.empty((0, n + 1), dtype=np.uint8), None
     pruned = swept = rejected = skipped = checks = hits = 0
-    start, size, pruning = 0, 1, False
-    while len(targets := _next_targets(open_, start, size)):
-        start, before = int(targets[-1]) + 1, len(gens)
+    targets = np.r_[0, 4 ** np.arange(n)]  # the first block: the anchor and the unit targets
+    start, size, pruning = 1, 1, False
+    while len(targets):
+        before = len(gens)
         rows = cand.block(targets)
         swept, rejected = swept + len(targets), rejected + 6 * len(targets) - len(rows)
-        # The anchor's candidates go in one chunk: the whole stabilizer is in H
-        # before the anchor counts as in H's orbit, or stabilizer elements would
-        # be skipped.
-        chunk = len(rows) if targets[0] == 0 else cand.per_check
         while len(rows):
             outside = open_[_targets(rows)]
             skipped, rows = skipped + len(rows) - outside.sum(), rows[outside]
+            # The anchor's rows, at most six and first, all go in the first chunk:
+            # the whole stabilizer is in H before a chunk skips rows in H's orbit.
+            chunk = cand.per_check if known is not None else max(cand.per_check, 6)
             found, rows = rows[:chunk], rows[chunk:]
             checks += len(found)
             found = found[cand.verify(found)]
             hits += len(found)
+            if known is None:  # the hits at the anchor are the stabilizer, a group: H
+                known = found[_targets(found) == 0]
+                member[index(known)] = True
+                gens = known[known.any(axis=1)]
             while len(found := found[~member[index(found)]]):  # the first hit outside H
                 gens = np.concatenate([gens, found[:1]])
-                grown = _extend(known, gens, index, member)
-                open_[_targets(grown)] = False
-                known = np.concatenate([known, grown])
+                known = _extend(known, gens, index, member, open_)
         open_[targets] = False
-        size = 1 if len(gens) > before else min(2 * size, TARGET_BLOCK)
+        size = 1 if len(gens) > before or targets[0] == 0 else min(2 * size, TARGET_BLOCK)
         if not pruning and targets[0] and len(gens) == before:
             # Only now are the section classes worth computing: a transitive
             # group adds a generator at every block until its orbit is complete.
             pruning, unmatched = True, ~cand.matching()
             pruned = int((unmatched & open_).sum())
             open_ &= ~unmatched
+        if len(targets := _next_targets(open_, start, size)):
+            start = int(targets[-1]) + 1
     skipped += 6 * (4**n - swept - pruned)  # the targets never swept lie in the orbit
     _log.debug("sweep: arity %d, %d candidates, %d targets pruned, %d probe survivors, "
                "%d skipped in the orbit, %d full-table checks, %d hits, %d generators, order %d",
@@ -395,7 +404,9 @@ def _autotopies(q: Quasigroup) -> np.ndarray:
                len(gens), len(known))
     if member.sum() != len(known):
         raise AssertionError("the dense index collides within a coset")
-    return known[np.argsort(_keys(known))]
+    keys = _keys(known)
+    order = np.argsort(keys)
+    return known[order], keys[order], member.reshape(-1, 6).any(axis=1)
 
 
 def _first_isotopy(q1: Quasigroup, q2: Quasigroup) -> np.ndarray:
@@ -430,11 +441,14 @@ def _check_cap(q: Quasigroup, cap: int) -> None:
 
 
 @functools.lru_cache(maxsize=32)
-def _sweep(q: Quasigroup) -> np.ndarray:
-    """The autotopies of q as read-only rows, in key order."""
-    rows = _autotopies(q)
-    rows.setflags(write=False)
-    return rows
+def _sweep(q: Quasigroup) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """The autotopies of q as read-only rows in key order, their keys, and the
+    anchor's orbit as a mask over the flat index.  Above MATERIALIZE_LIMIT,
+    where no group record holds the keys, the cache does not pin them."""
+    rows, keys, orbit = _autotopies(q)
+    for a in (rows, keys, orbit):
+        a.setflags(write=False)
+    return rows, keys if len(rows) <= MATERIALIZE_LIMIT else None, orbit
 
 
 def _group(elements) -> AutotopyGroup:
@@ -456,16 +470,14 @@ def autotopy_group(q: Quasigroup, *, cap: int = DEFAULT_CAP) -> AutotopyGroup:
     Generators come from a greedy lexicographic sieve and are reproducible.
     """
     _check_cap(q, cap)
-    rows = _sweep(q)
-    return _group(_Elements(rows, _keys(rows)))
+    rows, keys, _ = _sweep(q)
+    return _group(_Elements(rows, _keys(rows) if keys is None else keys))
 
 
 def _orbit(q: Quasigroup, cap: int) -> np.ndarray:
     """Sorted flat indices of the zero-anchor orbit: its images under every autotopy."""
     _check_cap(q, cap)
-    seen = np.zeros(ORDER**q.arity, dtype=bool)
-    seen[_targets(_sweep(q))] = True
-    return np.flatnonzero(seen)
+    return np.flatnonzero(_sweep(q)[2])
 
 
 def zero_orbit(q: Quasigroup, *, cap: int = DEFAULT_CAP) -> frozenset:
@@ -527,15 +539,17 @@ def _isotopies(rows: np.ndarray) -> list[Isotopy]:
     return [Isotopy(map(PERMS.__getitem__, r)) for r in rows.tolist()]
 
 
-def _extend(known: np.ndarray, gens: np.ndarray, index, member: np.ndarray) -> np.ndarray:
-    """The rows of the group generated by `known` and gens[-1] that lie outside
-    `known`, a group generated by gens[:-1]; marks them in `member`, a bool
-    array over index(rows).  The new elements fill right cosets known * r; a
-    BFS over the representatives r, from gens[-1] by right multiplication by
-    gens, reaches every coset (in a finite group positive words suffice).
-    Distinct cosets are disjoint, so a new one meeting a marked row means the
-    index collided."""
-    grown, todo = [], gens[-1:]
+def _extend(known: np.ndarray, gens: np.ndarray, index, member: np.ndarray,
+            open_: np.ndarray) -> np.ndarray:
+    """The rows of the group generated by `known`, a group generated by
+    gens[:-1], and gens[-1]: `known` first, then the new rows, which it marks
+    in `member`, a bool array over index(rows), and whose targets index // 6 it
+    clears in `open_`.  The new elements fill right cosets known * r; a BFS over
+    the representatives r, from gens[-1] by right multiplication by gens,
+    reaches every coset (in a finite group positive words suffice).  Distinct
+    cosets are disjoint, so a new one meeting a marked row means the index
+    collided."""
+    grown, todo = [known], gens[-1:]
     while len(todo):
         reps = []
         while len(todo := todo[~member[index(todo)]]):  # the first product in a new coset
@@ -545,6 +559,7 @@ def _extend(known: np.ndarray, gens: np.ndarray, index, member: np.ndarray) -> n
             if member[at].any():
                 raise AssertionError("a new coset meets the subgroup: the index collides")
             member[at] = True
+            open_[at // 6] = False
         todo = _MUL_A[np.array(reps)[:, None, :], gens].reshape(-1, gens.shape[1]) if reps else []
     return np.concatenate(grown)
 
@@ -611,8 +626,9 @@ def greedy_generators(elements) -> list[Isotopy]:
         raise AssertionError("the layer orders do not multiply to the order")
     gens = rows[picks]
     if not isinstance(elements, _Elements):
-        for p in gens:
-            if not np.isin(_keys(_MUL_A[rows, p]), keys).all():
+        for p in gens:  # the keys are strictly increasing: a product is in S iff found there
+            prods = _keys(_MUL_A[rows, p])
+            if (keys[np.minimum(np.searchsorted(keys, prods), len(keys) - 1)] != prods).any():
                 raise AssertionError("element set is not closed under composition")
     return _isotopies(gens)
 

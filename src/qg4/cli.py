@@ -18,6 +18,7 @@ from .core import (
     FormatError,
     Isotopy,
     LatinError,
+    PERMS,
     Quasigroup,
     parse_table,
     qg4_text,
@@ -47,6 +48,7 @@ class _Parser(argparse.ArgumentParser):
 _EXIT_CODES = {
     UsageError: EXIT_FORMAT,
     OSError: EXIT_FORMAT,
+    UnicodeDecodeError: EXIT_FORMAT,  # a tree document that is not UTF-8
     FormatError: EXIT_FORMAT,
     ArityError: EXIT_FORMAT,
     LatinError: EXIT_LATIN,
@@ -54,12 +56,11 @@ _EXIT_CODES = {
 }
 
 
-def _perm_str(p) -> str:
-    return "".join(str(x) for x in p.images)
+_PERM_STRS = tuple("".join(map(str, p.images)) for p in PERMS)  # by Perm.index
 
 
 def _isotopy_strs(theta: Isotopy) -> list[str]:
-    return [_perm_str(p) for p in theta.parts]
+    return [_PERM_STRS[p.index] for p in theta.parts]
 
 
 def _read_quasigroup(path: str, latin: bool = True) -> Quasigroup:

@@ -859,7 +859,7 @@ def doc_to_tree(doc) -> Tree:
         if set(doc) != {"var"} or type(doc["var"]) is not int:  # bool is an int
             raise FormatError("a leaf is exactly {\"var\": <int>}")
         return Leaf(doc["var"])
-    if set(doc) != {"table", "children"}:
+    if set(doc) != {"table", "children"} or not isinstance(doc["children"], list):
         raise FormatError("a node is exactly {\"table\": ..., \"children\": [...]}")
     children = tuple(doc_to_tree(c) for c in doc["children"])
     k = len(children)

@@ -30,7 +30,7 @@ from qg4 import (
     zero_orbit,
 )
 from qg4 import autotopy, cli, qg4_text
-from qg4.autotopy import AutotopyGroup, greedy_generators
+from qg4.autotopy import _ZERO_IMG, AutotopyGroup, greedy_generators
 from qg4.construct import ConstructionTSpec, construction_t, random_semilinear_composition
 from qg4.core import PERMS_FIXING
 
@@ -308,9 +308,9 @@ class TestGreedyGenerators:
         # search's rows and on the same rows given raw in reverse order
         for q in oracle_tables():
             if q.arity <= 8:
-                expected = keyed_greedy(autotopy._sweep(q))
+                expected = keyed_greedy(autotopy._sweep(q)[0])
                 assert list(autotopy_group(q, cap=8).generators) == expected
-                assert greedy_generators(autotopy._sweep(q)[::-1].copy()) == expected
+                assert greedy_generators(autotopy._sweep(q)[0][::-1].copy()) == expected
 
 
 class TestContains:
@@ -464,10 +464,10 @@ class TestBatchedMatchesScalar:
     def test_check_blocks_over_leading_axes(self, monkeypatch):
         # a check block spanning fewer axes than the table walks the leading ones
         tables = [linear(4), random_semilinear_composition(5, 1800)]
-        expected = [autotopy._autotopies(q) for q in tables]
+        expected = [autotopy._autotopies(q)[0] for q in tables]
         monkeypatch.setattr(autotopy, "CHECK_AXES", 2)
         for q, rows in zip(tables, expected):
-            assert (autotopy._autotopies(q) == rows).all()
+            assert (autotopy._autotopies(q)[0] == rows).all()
             moved = q.isotope(random_isotopy(q.arity, random.Random(1)))
             assert len(autotopy._first_isotopy(q, moved)) == 1
 
@@ -478,11 +478,11 @@ class TestSectionPruning:
         # about a second a table, so those are left out
         tables = [q for q in oracle_tables() if q.arity <= 8]
         keeps = [autotopy._Candidates(q, q).matching() for q in tables]
-        pruned = [autotopy._autotopies(q) for q in tables]
+        pruned = [autotopy._autotopies(q)[0] for q in tables]
         monkeypatch.setattr(autotopy._Candidates, "matching",
                             lambda self: np.ones(4**self.n, dtype=bool))
         for q, keep, rows in zip(tables, keeps, pruned):
-            reference = autotopy._autotopies(q)
+            reference = autotopy._autotopies(q)[0]
             assert keep[autotopy._targets(reference)].all()
             assert np.array_equal(rows, reference)
 
@@ -588,3 +588,36 @@ class TestSearchLog:
         assert cli.run(["atp", str(path), "--generators"], out=out) == 0
         assert out.getvalue().startswith("order ")
         assert capsys.readouterr() == ("", "")
+
+
+class TestOrbitStabilizerSweep:
+    def test_cached_orbit_and_stabilizer_against_independent_routes(self, caplog, monkeypatch):
+        # the orbit recomputed from every row, the stabilizer by scalar
+        # propagation; one key pass per group and none in is_transitive
+        counts = {"_keys": 0, "_targets": 0}
+        for name in counts:
+            def counted(rows, name=name, fn=getattr(autotopy, name)):
+                counts[name] += 1
+                return fn(rows)
+            monkeypatch.setattr(autotopy, name, counted)
+        for q in oracle_tables():
+            if q.arity > 6:
+                continue
+            autotopy._sweep.cache_clear()
+            n, keys_before = q.arity, counts["_keys"]
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="qg4"):
+                g = autotopy_group(q)
+            (record,) = [r for r in caplog.records if r.name == "qg4"]
+            _, _, _, survivors, skipped, checks, hits, generators, _ = record.args
+            assert survivors == checks + skipped and checks >= hits >= generators
+            assert counts["_keys"] == keys_before + 1
+            rows, keys, orbit = autotopy._sweep(q)
+            targets = _ZERO_IMG[rows[:, 1:]] @ 4 ** np.arange(n - 1, -1, -1)
+            assert np.array_equal(np.flatnonzero(orbit), np.unique(targets))
+            stab = stabilizer(q).members
+            assert autotopy._isotopies(rows[targets == 0]) == list(stab)
+            assert g.order == orbit.sum() * len(stab) == len(keys)
+            targets_before = counts["_targets"]
+            assert is_transitive(q) == (len(zero_orbit(q)) == 4**n)
+            assert counts["_targets"] == targets_before

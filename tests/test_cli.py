@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qg4 import (ConstructionTSpec, Isotopy, PERMS, Perm, construction_t, linear, loads_tree,
-                 parse_table, qg4_text, tree_eval, z4)
+from qg4 import (ConstructionTSpec, Isotopy, PERMS, Perm, chain, chain_tree, construction_t,
+                 linear, loads_tree, parse_table, qg4_text, tree_eval, z4)
 from qg4.construct import random_semilinear_composition
 from qg4 import cli, core
 from qg4 import decompose as dec
@@ -275,6 +275,78 @@ def test_mutated_files_exit_cleanly(data):
     code, _out, err = results[1]
     if code != EXIT_OK:
         assert all((c, e) == (code, err) for c, _o, e in results[2:])
+
+
+TREE_BASES = [construction_t(ConstructionTSpec.random(5, 1)), (chain_tree(5), chain(5)),
+              (dec.full_decomposition(random_semilinear_composition(6, 7)),
+               random_semilinear_composition(6, 7))]
+
+
+def tree_docs(doc, nodes=True):
+    """The node documents (or the leaf documents) of a tree document, in preorder."""
+    if "var" in doc or not isinstance(doc.get("children"), list):
+        return [] if nodes else [doc]
+    return ([doc] if nodes else []) + [d for c in doc["children"] for d in tree_docs(c, nodes)]
+
+
+def mutate_tree(data, doc: dict, kind: str) -> None:
+    """Mutate a tree document in place."""
+    targets = tree_docs(doc, nodes=kind not in ("leaves", "swap"))
+    if kind == "children":
+        targets = [t for t in targets if t["children"]]
+    if not targets:
+        return
+    target = data.draw(st.sampled_from(targets))
+    if kind == "digit":
+        pos = data.draw(st.integers(0, len(target["table"]) - 1))
+        new = data.draw(st.sampled_from("012345x"))
+        target["table"] = target["table"][:pos] + new + target["table"][pos + 1:]
+    elif kind == "children":  # drop, repeat or add a child
+        children, how = target["children"], data.draw(st.sampled_from(["drop", "repeat", "add"]))
+        k = data.draw(st.integers(0, len(children) - 1))
+        if how == "drop":
+            del children[k]
+        else:
+            children.insert(k, dict(children[k]) if how == "repeat" else {"var": len(children) + 1})
+    elif kind == "leaves":  # the leaf indices stop being a permutation of 1..n
+        target["var"] = data.draw(st.sampled_from([0, -1, 1, 2, 99, True, 1.0, "1", None]))
+    elif kind == "swap":  # still a permutation: a tree of another quasigroup
+        other = data.draw(st.sampled_from(targets))
+        target["var"], other["var"] = other["var"], target["var"]
+    elif kind == "extra":
+        target[data.draw(st.sampled_from(["x", "var", "table", "children"]))] = 1
+
+
+@settings(max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_mutated_trees_exit_cleanly(data):
+    """`verify --tree` maps every mutated tree document to a documented exit
+    code, 0 to 4, with no traceback: a changed table digit, a child dropped,
+    repeated or added, leaf indices that are no permutation of 1..n or are
+    swapped, an extra key, truncated JSON, and a byte that is not UTF-8."""
+    tree, q = data.draw(st.sampled_from(TREE_BASES))
+    doc = dec.tree_to_doc(tree)
+    kinds = data.draw(st.lists(st.sampled_from(["digit", "children", "leaves", "swap"]),
+                               max_size=2))
+    for kind in kinds + ["extra"] * data.draw(st.booleans()):
+        mutate_tree(data, doc, kind)
+    text = json.dumps(doc).encode()
+    if data.draw(st.booleans()):  # truncated JSON
+        text = text[:data.draw(st.integers(0, len(text) - 1))]
+    if data.draw(st.booleans()):  # a byte that is not UTF-8, or not JSON
+        pos = data.draw(st.integers(0, len(text)))
+        text = text[:pos] + data.draw(st.sampled_from([b"\xff", b"\x00", b"}"])) + text[pos + 1:]
+    with tempfile.TemporaryDirectory() as tmp:
+        qpath, tpath = os.path.join(tmp, "q.qg4"), os.path.join(tmp, "q.tree")
+        with open(qpath, "w") as fh:
+            fh.write(qg4_text(q))
+        with open(tpath, "wb") as fh:
+            fh.write(text)
+        code, out, err = run_captured(["verify", qpath, "--tree", tpath])
+    assert code in (EXIT_OK, EXIT_FORMAT, EXIT_LATIN, EXIT_CAP, EXIT_VERIFY)
+    assert "Traceback" not in err
+    assert (code == EXIT_VERIFY) == ("verification failed" in out)
 
 
 class TestVerify:
