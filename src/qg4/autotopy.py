@@ -84,7 +84,6 @@ _ROW_PERM = np.zeros(256, dtype=np.uint8)
 _ROW_PERM[_IMG @ _ROW_W] = np.arange(len(PERMS))
 _PACKED = (_IMG << 2 * np.arange(ORDER, dtype=np.uint8)).sum(axis=1, dtype=np.uint8)  # images, 2 bits each
 _WEIGHTS = 4 ** np.arange(MAX_ARITY - 1, -1, -1, dtype=np.int32)  # flat-index weights
-_KEY_W = 24 ** np.arange(MAX_ARITY, -1, -1, dtype=np.int64)  # base-24 row keys
 # _INVOLUTION_QUOTIENT[24 * p + r]: p o r^-1 is an involution.
 _INVOLUTION_QUOTIENT = np.array([p.order() == 2 for p in PERMS])[_MUL_A[:, _INV_A]].ravel()
 
@@ -527,8 +526,13 @@ def are_isotopic(q1: Quasigroup, q2: Quasigroup, *, cap: int = DEFAULT_CAP) -> I
 # ---------------------------------------------------------------------------
 
 def _keys(rows: np.ndarray) -> np.ndarray:
-    """Base-24 int64 key of each row; key order is Isotopy.key order."""
-    return rows.astype(np.int64) @ _KEY_W[-rows.shape[1]:]
+    """Base-24 int64 key of each row; key order is Isotopy.key order.  Horner's
+    rule, one column at a time, so no int64 copy of the rows is made."""
+    keys = rows[:, 0].astype(np.int64)
+    for c in range(1, rows.shape[1]):
+        keys *= 24
+        keys += rows[:, c]
+    return keys
 
 
 def _to_rows(isotopies) -> np.ndarray:

@@ -255,13 +255,9 @@ def find_split(q: Quasigroup, *, _missed=None):
     return found
 
 
-def _substitute_leaves(t: Tree, mapping: dict[int, Tree]) -> Tree:
-    if isinstance(t, Leaf):
-        return mapping[t.var]
-    return Node(t.label, tuple(_substitute_leaves(c, mapping) for c in t.children))
-
-
-def _decompose(q: Quasigroup, latin: bool) -> Tree:
+def _decompose(q: Quasigroup, latin: bool, args: tuple[Tree, ...]) -> Tree:
+    """q's tree, its k-th argument read by the subtree args[k-1]: one node over args,
+    or for q = outer(inner(x_S), x_rest), outer's over (inner's over args[S], *args[rest])."""
     def certify() -> None:  # at most once per table: it bounds the failure path
         nonlocal latin
         if not latin:
@@ -271,15 +267,11 @@ def _decompose(q: Quasigroup, latin: bool) -> Tree:
     split = find_split(q, _missed=certify)
     if split is None:
         certify()
-        return Node(q, tuple(Leaf(i) for i in range(1, q.arity + 1)))
+        return Node(q, args)
     subset, inner, outer = split
-    rest = [i for i in range(1, q.arity + 1) if i not in subset]
-    inner_tree = _substitute_leaves(
-        _decompose(inner, latin), {k + 1: Leaf(subset[k]) for k in range(len(subset))})
-    mapping: dict[int, Tree] = {1: inner_tree}
-    for j, var in enumerate(rest, start=2):
-        mapping[j] = Leaf(var)
-    return _substitute_leaves(_decompose(outer, latin), mapping)
+    inner_tree = _decompose(inner, latin, tuple(args[i - 1] for i in subset))
+    rest = (a for i, a in enumerate(args, start=1) if i not in subset)
+    return _decompose(outer, latin, (inner_tree, *rest))
 
 
 def full_decomposition(q: Quasigroup, *, _latin: bool = True) -> Tree:
@@ -292,7 +284,7 @@ def full_decomposition(q: Quasigroup, *, _latin: bool = True) -> Tree:
     try:
         if q.arity < 2:
             raise ArityError("decomposition needs arity at least 2")
-        return _decompose(q, _latin)
+        return _decompose(q, _latin, tuple(Leaf(i) for i in range(1, q.arity + 1)))
     except Exception:
         if not _latin:
             _require_latin(q.table)
@@ -313,12 +305,15 @@ def _adjacent_node_pair(t: Tree, parent_path: tuple[int, ...], child_index: int)
     return parent, child
 
 
+def _coherent(parent: Node, k: int) -> bool:
+    """Whether parent and its node child k share a pair partition across their edge."""
+    at_parent = semilinear_profile(parent.label).partitions_at(k + 1)
+    return bool(at_parent & semilinear_profile(parent.children[k].label).partitions_at(0))
+
+
 def are_coherent(t: Tree, parent_path: tuple[int, ...], child_index: int) -> bool:
     """True iff the labels share a pair partition across the connecting edge."""
-    parent, child = _adjacent_node_pair(t, parent_path, child_index)
-    at_parent = semilinear_profile(parent.label).partitions_at(child_index + 1)
-    at_child = semilinear_profile(child.label).partitions_at(0)
-    return bool(at_parent & at_child)
+    return _coherent(_adjacent_node_pair(t, parent_path, child_index)[0], child_index)
 
 
 def merge_nodes(t: Tree, parent_path: tuple[int, ...], child_index: int) -> Tree:
@@ -330,33 +325,39 @@ def merge_nodes(t: Tree, parent_path: tuple[int, ...], child_index: int) -> Tree
     return _replace_at(t, parent_path, Node(label, children))
 
 
-def _first_coherent_pair(t: Tree):
-    for path in sorted((p for _node, p in iter_nodes(t)), key=lambda p: (len(p), p)):
-        node = node_at(t, path)
-        for k, child in enumerate(node.children):
-            if isinstance(child, Node) and are_coherent(t, path, k):
-                return path, k
-    return None
-
-
 def proper_decomposition(q: Quasigroup, *, _latin: bool = True) -> Tree:
     """Merge coherent pairs of the full decomposition until none remain."""
     return merge_coherent(full_decomposition(q, _latin=_latin))
 
 
 def merge_coherent(t: Tree) -> Tree:
-    """Merge coherent adjacent pairs, first in breadth-first order, until none remain."""
-    while True:
-        pair = _first_coherent_pair(t)
-        if pair is None:
-            return t
-        t = merge_nodes(t, pair[0], pair[1])
+    """Merge coherent adjacent pairs until none remain, in one top-down pass.
+
+    Each node tests its children left to right, merges a coherent one and
+    tests the same index again; then the pass recurses into the children.
+    These are the merges of a breadth-first search restarted after every
+    merge, in the same order at each node: a merged label's assignments are
+    a[:pos] + b[1:] + a[pos+1:] (`_compose_at`), so each of its partition
+    sets is a subset of the parent's, and no pair above it, or earlier at its
+    node, becomes coherent.  Merges in disjoint subtrees do not interact.
+    """
+    if isinstance(t, Leaf):
+        return t
+    k = 0
+    while k < len(t.children):
+        if isinstance(t.children[k], Node) and _coherent(t, k):
+            t = merge_nodes(t, (), k)
+        else:
+            k += 1
+    return Node(t.label, tuple(merge_coherent(c) for c in t.children))
 
 
 def is_proper(t: Tree) -> bool:
     """Semilinear labels and no coherent adjacent pair."""
-    return (all(semilinear_profile(node.label).is_semilinear for node, _ in iter_nodes(t))
-            and _first_coherent_pair(t) is None)
+    nodes = [node for node, _ in iter_nodes(t)]
+    return (all(semilinear_profile(node.label).is_semilinear for node in nodes)
+            and not any(_coherent(node, k) for node in nodes
+                        for k, child in enumerate(node.children) if isinstance(child, Node)))
 
 
 def is_reduced(t: Tree) -> bool:
@@ -800,19 +801,6 @@ def minimality_conditions(t: Tree) -> MinimalityReport:
 # Re-rooting (decomposition of an inverse)
 # ---------------------------------------------------------------------------
 
-def _leaf_path(t: Node, var: int) -> list[tuple[Node, int]]:
-    """(node, child index) steps from the root down to the leaf `var`."""
-    if isinstance(t, Leaf):
-        raise ValueError("reached a leaf unexpectedly")
-    for k, child in enumerate(t.children):
-        if isinstance(child, Leaf):
-            if child.var == var:
-                return [(t, k)]
-        elif var in leaf_vars(child):
-            return [(t, k)] + _leaf_path(child, var)
-    raise ValueError(f"variable {var} not in tree")
-
-
 def reroot_to_leaf(t: Tree, var: int) -> Tree:
     """The decomposition tree of the represented quasigroup's inverse at `var`.
 
@@ -823,22 +811,14 @@ def reroot_to_leaf(t: Tree, var: int) -> Tree:
     n = validate_tree(t)
     if not 1 <= var <= n:
         raise ArityError(f"variable {var} out of range 1..{n}")
-    path = _leaf_path(t, var)
 
-    def lifted(k: int) -> Tree:
-        if k == 0:
-            return Leaf(var)
-        node, child_idx = path[k - 1]
-        new_label = node.label.inverse(child_idx + 1)
-        children = list(node.children)
-        children[child_idx] = lifted(k - 1)
-        return Node(new_label, tuple(children))
+    def down(node: Node, above: Tree) -> Node:
+        k = next(k for k, child in enumerate(node.children) if var in leaf_vars(child))
+        here = Node(node.label.inverse(k + 1), node.children[:k] + (above,) + node.children[k + 1:])
+        child = node.children[k]
+        return here if isinstance(child, Leaf) else down(child, here)
 
-    deepest, child_idx = path[-1]
-    new_label = deepest.label.inverse(child_idx + 1)
-    children = list(deepest.children)
-    children[child_idx] = lifted(len(path) - 1)
-    return Node(new_label, tuple(children))
+    return down(t, Leaf(var))
 
 
 # ---------------------------------------------------------------------------

@@ -296,6 +296,14 @@ class TestGreedyGenerators:
             with pytest.raises(AssertionError):
                 greedy_generators(autotopy._Elements(rows, autotopy._keys(rows)))
 
+    def test_keys_are_base_24_values(self):
+        rng = np.random.default_rng(20)
+        for arity in range(2, 13):  # 24^13 < 2^63: the widest all-23 row still fits
+            rows = rng.integers(0, 24, size=(64, arity + 1), dtype=np.uint8)
+            rows[0], rows[1] = 23, 0
+            want = [sum(int(d) * 24**c for c, d in enumerate(reversed(r))) for r in rows]
+            assert autotopy._keys(rows).tolist() == want
+
     def test_colliding_dense_index_is_caught(self, monkeypatch):
         # ranks 4 and 5 share a slot: the search must not return a short group
         autotopy._sweep.cache_clear()

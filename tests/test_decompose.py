@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from qg4 import (
+    ArityError,
     ConstructionTSpec,
     FormatError,
     Isotopy,
@@ -610,6 +611,101 @@ class TestReroot:
                 base.n_bald, base.n_bunches)
 
 
+def restart_merge(t):
+    """merge_coherent as a restarted search: merge the first coherent pair in
+    (len(path), path) order, then search again.  Returns the tree and the
+    (path, child index) of each merge."""
+    merged = []
+    while True:
+        nodes = sorted(iter_nodes(t), key=lambda item: (len(item[1]), item[1]))
+        pair = next(((path, k) for node, path in nodes for k, child in enumerate(node.children)
+                     if isinstance(child, Node) and are_coherent(t, path, k)), None)
+        if pair is None:
+            return t, merged
+        merged.append(pair)
+        t = merge_nodes(t, *pair)
+
+
+def path_reroot(t, var):
+    """reroot_to_leaf built along the root-to-leaf path: step k lifts the path's
+    k-th node, its label inverted, over the tree lifted so far."""
+    def leaf_path(node):
+        for k, child in enumerate(node.children):
+            if isinstance(child, Leaf):
+                if child.var == var:
+                    return [(node, k)]
+            elif var in dec.leaf_vars(child):
+                return [(node, k)] + leaf_path(child)
+
+    path = leaf_path(t)
+
+    def lifted(k):
+        if k == 0:
+            return Leaf(var)
+        node, child_idx = path[k - 1]
+        children = list(node.children)
+        children[child_idx] = lifted(k - 1)
+        return Node(node.label.inverse(child_idx + 1), tuple(children))
+
+    return lifted(len(path))
+
+
+@functools.lru_cache(maxsize=None)
+def rewrite_corpus():
+    """Full trees of the oracle tables of arity at least 2, and of seeded
+    compositions at arity 7 to 10."""
+    tables = [q for q in oracle_tables() if q.arity >= 2]
+    tables += [random_semilinear_composition(n, 2600 + 10 * n + seed)
+               for n in range(7, 11) for seed in range(3)]
+    return tuple(full_decomposition(q) for q in tables)
+
+
+class TestRewriteReferences:
+    """The one-pass merge and re-root against the restarted search and the
+    root-to-leaf path they replace."""
+
+    def test_merge_matches_the_restarted_search(self):
+        below_root = repeated = 0
+        for t in rewrite_corpus():
+            want, merged = restart_merge(t)
+            assert dumps_tree(dec.merge_coherent(t)) == dumps_tree(want)
+            below_root += any(path for path, _k in merged)
+            repeated += any(a[0] == b[0] for a, b in zip(merged, merged[1:]))
+        assert below_root and repeated  # the corpus exercises both
+
+    def test_reroot_matches_the_path_route(self):
+        for t in rewrite_corpus():
+            for tree in (t, dec.merge_coherent(t)):
+                for var in dec.leaf_vars(tree):  # equal trees print equal bytes
+                    assert reroot_to_leaf(tree, var) == path_reroot(tree, var)
+
+    def test_one_coherence_test_per_merge_and_per_kept_edge(self, monkeypatch):
+        calls = []
+        coherent = dec._coherent
+
+        def counting(parent, k):
+            calls.append(k)
+            return coherent(parent, k)
+
+        monkeypatch.setattr(dec, "_coherent", counting)
+        for t in rewrite_corpus():
+            calls.clear()
+            proper = dec.merge_coherent(t)
+            merges = node_count(t) - node_count(proper)
+            edges = sum(isinstance(child, Node)
+                        for node, _path in iter_nodes(proper) for child in node.children)
+            assert len(calls) == merges + edges
+
+    def test_edge_cases_are_kept(self):
+        assert dec.merge_coherent(Leaf(3)) == Leaf(3)
+        t = full_decomposition(chain(5))
+        for var in (0, 6, -1):
+            with pytest.raises(ArityError):
+                reroot_to_leaf(t, var)
+        with pytest.raises(FormatError):
+            reroot_to_leaf(Leaf(1), 1)
+
+
 class TestSerialization:
     def test_round_trip(self):
         for t in (chain_tree(5), full_decomposition(chain(6))):
@@ -698,7 +794,7 @@ class TestCertifiedDecomposition:
         assert 4 * latin + 3 == len(tables) and latin > 800  # every mutant is rejected
 
     def test_a_failure_of_a_latin_table_is_reraised(self, monkeypatch):
-        def fail(q, _latin):
+        def fail(q, _latin, _args):
             raise RuntimeError("route failed")
 
         monkeypatch.setattr(dec, "_decompose", fail)
