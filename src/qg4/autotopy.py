@@ -1,26 +1,23 @@
 """Exact autotopy groups by an orbit-stabilizer search over the code.
 
 A candidate (target code tuple, value permutation theta_0) forces at most one
-isotopy through the sections at the all-zero anchor and at the target, so an
-autotopy is named by its target and the rank of theta_0 among the six
-candidates there: a dense index of 6 * 4^n entries.  Candidates are uint8 rows
-of permutation indices, built for a block of targets by one index-arithmetic
-pass; a block too large for one full-table check block first meets two
-rounds of fixed probe cells, which reject most wrong candidates, and a
-candidate is a hit only once it holds on the whole table.
+isotopy through the sections at the all-zero anchor and at the target.
+Candidates are uint8 rows of permutation indices, built for a block of targets
+by one index-arithmetic pass; a block too large for one full-table check
+block first meets two rounds of fixed probe cells, which reject most wrong
+candidates, and a candidate is a hit only once it holds on the whole table.
 
 |Atp(f)| = |orbit of the anchor| * |stabilizer|.  The first block is the
 anchor and the n unit targets, the flat indices 4^j, where a transitive group
 has its generators.  Its hits at the anchor are exactly the stabilizer, a
 group, so the subgroup H the search grows starts as the stabilizer in one
-step, and every autotopy whose target lies in H's orbit of the anchor is in H
-already.  The other targets are taken lazily in flat order from target 1, in
+step.  As H holds the stabilizer, an autotopy x lies in a left coset r * H iff
+x(anchor) lies in r(orbit_H): if x(a) = r h(a), then (r h)^-1 x fixes a, so it
+lies in H.  Membership in H is thus a bool mask of H's orbit over the 4^n
+targets.  The other targets are taken lazily in flat order from target 1, in
 blocks of the next 1, 2, 4, ... targets outside H's orbit, back to one after a
 block that adds a generator; each hit outside H becomes a generator, and H
-grows by its new right cosets, with membership a bool array over the dense
-index.  A row's target is its index // 6, so H's orbit is read off the
-membership, with no pass over the rows; a coset that meets H, or fewer marks
-than rows, means the index collided.
+grows by its new left cosets, each marking its targets in the orbit.
 Once a block after the first adds no generator, targets are also pruned by
 their 2-D sections: an isotopy maps the (i, j)-section through the anchor
 onto an isotopic one through its target, and an order-4 Latin square is of
@@ -76,9 +73,6 @@ _ZERO_IMG = _IMG[:, 0].astype(np.int32)
 _MUL_A = np.array(_MUL, dtype=np.uint8)
 _INV_A = np.array(_INV, dtype=np.uint8)
 _FIXING = np.array([[[p.index for p in w] for w in v] for v in PERMS_FIXING], np.uint8)
-# _RANK[v, p]: the rank of p among the six permutations sending v where p does.
-_RANK = np.zeros((ORDER, len(PERMS)), dtype=np.int32)
-_RANK[np.arange(ORDER)[:, None, None], _FIXING] = np.arange(6)
 _ROW_W = np.array([64, 16, 4, 1])  # an image row read as a base-4 number
 _ROW_PERM = np.zeros(256, dtype=np.uint8)
 _ROW_PERM[_IMG @ _ROW_W] = np.arange(len(PERMS))
@@ -354,12 +348,7 @@ def _autotopies(q: Quasigroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows of the autotopies of q in key order, their keys, and a bool mask of
     the anchor's orbit over the flat index, by the orbit-stabilizer search."""
     cand, n = _Candidates(q, q), q.arity
-    c0 = int(cand.con[0])
-
-    def index(rows):  # the dense index: 6 * target + the rank of theta_0 there
-        return 6 * _targets(rows) + _RANK[c0, rows[:, 0]]
-
-    member = np.zeros(6 * 4**n, dtype=bool)
+    orbit = np.zeros(4**n, dtype=bool)  # H's orbit of the anchor: x is in H iff its target is
     open_ = cand.open  # targets neither swept, in H's orbit nor pruned
     gens, known = np.empty((0, n + 1), dtype=np.uint8), None
     pruned = swept = rejected = skipped = checks = hits = 0
@@ -381,11 +370,11 @@ def _autotopies(q: Quasigroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             hits += len(found)
             if known is None:  # the hits at the anchor are the stabilizer, a group: H
                 known = found[_targets(found) == 0]
-                member[index(known)] = True
+                orbit[0], stab = True, len(known)
                 gens = known[known.any(axis=1)]
-            while len(found := found[~member[index(found)]]):  # the first hit outside H
+            while len(found := found[~orbit[_targets(found)]]):  # the first hit outside H
                 gens = np.concatenate([gens, found[:1]])
-                known = _extend(known, gens, index, member, open_)
+                known = _extend(known, gens, orbit, open_)
         open_[targets] = False
         size = 1 if len(gens) > before or targets[0] == 0 else min(2 * size, TARGET_BLOCK)
         if not pruning and targets[0] and len(gens) == before:
@@ -401,11 +390,11 @@ def _autotopies(q: Quasigroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                "%d skipped in the orbit, %d full-table checks, %d hits, %d generators, order %d",
                n, 6 * 4**n, pruned, 6 * 4**n - 6 * pruned - rejected, skipped, checks, hits,
                len(gens), len(known))
-    if member.sum() != len(known):
-        raise AssertionError("the dense index collides within a coset")
+    if orbit.sum() * stab != len(known):
+        raise AssertionError("the order is not |orbit| * |stabilizer|")
     keys = _keys(known)
     order = np.argsort(keys)
-    return known[order], keys[order], member.reshape(-1, 6).any(axis=1)
+    return known[order], keys[order], orbit
 
 
 def _first_isotopy(q1: Quasigroup, q2: Quasigroup) -> np.ndarray:
@@ -439,11 +428,14 @@ def _check_cap(q: Quasigroup, cap: int) -> None:
         raise CapError(f"arity {q.arity} exceeds the search cap {cap}; raise the cap to force")
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=1)
 def _sweep(q: Quasigroup) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """The autotopies of q as read-only rows in key order, their keys, and the
-    anchor's orbit as a mask over the flat index.  Above MATERIALIZE_LIMIT,
-    where no group record holds the keys, the cache does not pin them."""
+    anchor's orbit as a mask over the flat index.  The cache holds one table:
+    its readers (is_transitive, zero_orbit) follow the search of the same
+    table, and more entries would pin gigabytes of rows at arity 10.  Above
+    MATERIALIZE_LIMIT, where no group record holds the keys, it does not pin
+    them."""
     rows, keys, orbit = _autotopies(q)
     for a in (rows, keys, orbit):
         a.setflags(write=False)
@@ -543,28 +535,30 @@ def _isotopies(rows: np.ndarray) -> list[Isotopy]:
     return [Isotopy(map(PERMS.__getitem__, r)) for r in rows.tolist()]
 
 
-def _extend(known: np.ndarray, gens: np.ndarray, index, member: np.ndarray,
+def _extend(known: np.ndarray, gens: np.ndarray, orbit: np.ndarray,
             open_: np.ndarray) -> np.ndarray:
-    """The rows of the group generated by `known`, a group generated by
-    gens[:-1], and gens[-1]: `known` first, then the new rows, which it marks
-    in `member`, a bool array over index(rows), and whose targets index // 6 it
-    clears in `open_`.  The new elements fill right cosets known * r; a BFS over
-    the representatives r, from gens[-1] by right multiplication by gens,
-    reaches every coset (in a finite group positive words suffice).  Distinct
-    cosets are disjoint, so a new one meeting a marked row means the index
-    collided."""
+    """The rows of the group generated by `known`, a group H generated by
+    gens[:-1] that holds the anchor's stabilizer, and gens[-1]: `known` first,
+    then the new rows, whose targets it marks in `orbit`, H's orbit of the
+    anchor, and clears in `open_`.  The new elements fill left cosets r * H; a
+    BFS over the representatives r, from gens[-1] by left multiplication by
+    gens, reaches every coset (in a finite group positive words suffice).  As
+    H holds the stabilizer, x lies in r * H iff x(anchor) lies in r(orbit_H):
+    if x(a) = r h(a), then (r h)^-1 x fixes a.  So distinct left cosets have
+    disjoint targets, a product lies in a known coset iff its target is
+    marked, and a new coset meeting a marked target means H lacked part of the
+    stabilizer."""
     grown, todo = [known], gens[-1:]
     while len(todo):
         reps = []
-        while len(todo := todo[~member[index(todo)]]):  # the first product in a new coset
+        while len(todo := todo[~orbit[_targets(todo)]]):  # the first product in a new coset
             reps.append(todo[0])
-            grown.append(_MUL_A[known, todo[0]])
-            at = index(grown[-1])
-            if member[at].any():
-                raise AssertionError("a new coset meets the subgroup: the index collides")
-            member[at] = True
-            open_[at // 6] = False
-        todo = _MUL_A[np.array(reps)[:, None, :], gens].reshape(-1, gens.shape[1]) if reps else []
+            grown.append(_MUL_A[todo[0], known])
+            at = _targets(grown[-1])
+            if orbit[at].any():
+                raise AssertionError("a new coset meets a marked target")
+            orbit[at], open_[at] = True, False
+        todo = _MUL_A[gens, np.array(reps)[:, None, :]].reshape(-1, gens.shape[1]) if reps else []
     return np.concatenate(grown)
 
 

@@ -858,9 +858,10 @@ def dumps_tree(t: Tree) -> str:
 
 def loads_tree(text: str) -> Tree:
     try:
-        doc = json.loads(text)
+        t = doc_to_tree(json.loads(text))
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid tree document: {exc}") from exc
-    t = doc_to_tree(doc)
+    except RecursionError:  # from either json.loads or doc_to_tree
+        raise FormatError("tree document is nested too deeply") from None
     validate_tree(t)
     return t

@@ -304,12 +304,24 @@ class TestGreedyGenerators:
             want = [sum(int(d) * 24**c for c, d in enumerate(reversed(r))) for r in rows]
             assert autotopy._keys(rows).tolist() == want
 
-    def test_colliding_dense_index_is_caught(self, monkeypatch):
-        # ranks 4 and 5 share a slot: the search must not return a short group
-        autotopy._sweep.cache_clear()
-        monkeypatch.setattr(autotopy, "_RANK", autotopy._RANK.clip(max=4))
-        with pytest.raises(AssertionError):
-            autotopy_group(linear(3))
+    def test_coset_meeting_a_marked_target_is_caught(self):
+        # H = the stabilizer and the search's first generator, with an orbit of
+        # several targets; a target of r * H other than r(anchor) marked in
+        # advance must stop the extension by r
+        q = z4()
+        rows = autotopy._sweep(q)[0]
+        targets = autotopy._targets(rows)
+        stab = rows[targets == 0]
+        gens = np.concatenate([stab[stab.any(axis=1)], rows[targets == 1][:1]])
+        orbit, open_ = np.zeros(4**q.arity, dtype=bool), np.ones(4**q.arity, dtype=bool)
+        orbit[0] = True
+        h = autotopy._extend(stab, gens, orbit, open_)
+        assert orbit.sum() >= 2 and len(h) == orbit.sum() * len(stab)
+        r = rows[~orbit[targets]][:1]
+        coset = autotopy._targets(autotopy._MUL_A[r[0], h])
+        orbit[coset[coset != autotopy._targets(r)[0]][0]] = True
+        with pytest.raises(AssertionError, match="marked target"):
+            autotopy._extend(h, np.concatenate([gens, r]), orbit, open_)
 
     def test_matches_the_keyed_greedy(self):
         # the kernel-chain pass against the closure-per-generator greedy, on the
@@ -629,3 +641,17 @@ class TestOrbitStabilizerSweep:
             targets_before = counts["_targets"]
             assert is_transitive(q) == (len(zero_orbit(q)) == 4**n)
             assert counts["_targets"] == targets_before
+
+    def test_orbit_stabilizer_above_arity_6(self):
+        # the count check and the closure of the rows, given raw, at arity 7 and 9
+        for q in (chain(9), construction_t(ConstructionTSpec.random(9, 1))[1], linear(7)):
+            g = autotopy_group(q, cap=9)
+            rows, _, orbit = autotopy._sweep(q)
+            assert g.order == orbit.sum() * stabilizer(q, cap=9).size == len(rows)
+            assert greedy_generators(rows.copy()) == list(g.generators)
+
+    def test_the_cache_holds_one_table(self):
+        autotopy._sweep.cache_clear()
+        for q in (linear(3), chain(5), random_semilinear_composition(4, 1900)):
+            autotopy_group(q)
+        assert autotopy._sweep.cache_info().currsize == 1

@@ -471,6 +471,14 @@ class TestExitCodes:
             path.write_text(json.dumps({"table": table, "children": [{"var": 1}, {"var": 2}]}))
             self.assert_reported(["verify", z4_file, "--tree", str(path)], capsys)
 
+    def test_deeply_nested_tree(self, tmp_path, z4_file, capsys):
+        # deep enough to exhaust the recursion limit in json.loads or in doc_to_tree
+        path = tmp_path / "t.json"
+        for depth in (900, 5000):
+            node = '{"table":"0123123023013012","children":['
+            path.write_text(node * depth + '{"var":1}' + ',{"var":2}]}' * depth)
+            self.assert_reported(["verify", z4_file, "--tree", str(path)], capsys)
+
 
 class TestParserReuse:
     """The parser is built once and reused across calls."""
