@@ -18,6 +18,7 @@ from .core import (
     FormatError,
     Isotopy,
     LatinError,
+    MAX_ARITY,
     PERMS,
     Quasigroup,
     parse_table,
@@ -193,6 +194,8 @@ def _generate(family: str, n: int | None, seed: int | None):
         return construct.builtin(family), None
     if n is None:
         raise UsageError(f"family {family} needs -n <arity>")
+    if n > MAX_ARITY:  # before any builder: some take time and memory superlinear in n
+        raise CapError(f"arity {n} exceeds the table cap {MAX_ARITY}")
     if family == "linear":
         return construct.linear(n), None
     if family == "lbullet":

@@ -308,9 +308,10 @@ def _gather(table: np.ndarray, perms: Sequence[Perm]) -> np.ndarray:
 
 
 class Quasigroup:
-    """An n-ary quasigroup on {0,1,2,3} held as an immutable value table."""
+    """An n-ary quasigroup on {0,1,2,3} held as an immutable value table; `_profile`
+    keeps its semilinear profile, once scanned or derived, for the object's life."""
 
-    __slots__ = ("table", "arity", "_hash")
+    __slots__ = ("table", "arity", "_hash", "_profile")
 
     def __init__(self, table: np.ndarray, *, _trusted: bool = False):
         arr = np.asarray(table, dtype=np.uint8)
@@ -328,6 +329,7 @@ class Quasigroup:
         self.table = arr
         self.arity = arr.ndim
         self._hash = None  # on first use: most intermediate tables are never hashed
+        self._profile = None  # set by the semilinear module
 
     # -- constructors -------------------------------------------------------
 
@@ -380,7 +382,7 @@ class Quasigroup:
         return self._hash
 
     def __reduce__(self):
-        # Rebuild on load: the hash of bytes is salted per process.
+        # Rebuild on load: the hash of bytes is salted per process; no profile is kept.
         return (Quasigroup, (self.table,))
 
     def __repr__(self) -> str:

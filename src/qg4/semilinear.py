@@ -13,12 +13,13 @@ respects (P_0, P_1, ...).  C = A.compose_at(B, pos), C(y, z) = A(B(y), z),
 respects exactly a[:pos] + b[1:] + a[pos+1:] for a of A and b of B with
 b[0] = a[pos]: if C respects c, pulling c_0 back through A(., 0) gives a P
 such that B respects (P; c_y), and since B is onto, A respects (c_0; P; c_z).
+
+A profile is kept on its table's object (`Quasigroup._profile`) and freed with it.
+Threads need no lock: two that race to profile one table store equal values.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,13 +127,6 @@ class SemilinearProfile:
         return min(constant) if constant else None
 
 
-CACHE_ENTRIES = 4096
-CACHE_BYTES = 64 * 2**20  # of key tables: one arity-12 table is 16 MiB
-_cache: OrderedDict[Quasigroup, SemilinearProfile] = OrderedDict()  # least recent first
-_cache_bytes = 0
-_cache_lock = threading.Lock()
-
-
 def semilinear_profile(q: Quasigroup) -> SemilinearProfile:
     """Detect every valid partition assignment by quotient verification.
 
@@ -141,19 +135,15 @@ def semilinear_profile(q: Quasigroup) -> SemilinearProfile:
     by partitions it respects is a binary quasigroup of order 2, which is the
     xor up to a constant; so the assignment survives iff the value's block is
     c ^ block_1(x_1) ^ ... ^ block_n(x_n) everywhere, c the block of f(0,...,0).
-    Profiles are cached, within CACHE_ENTRIES and CACHE_BYTES of key tables.
+    The profile is kept on q: later calls return the same object.
     """
-    with _cache_lock:
-        if q in _cache:
-            _cache.move_to_end(q)
-            return _cache[q]
+    if q._profile is not None:
+        return q._profile
     n = q.arity
     zero_secs = [q.zero_section(i) for i in range(1, n + 1)]
     found = []
     for p0 in PARTITIONS:
-        assignment = [p0]
-        for sec in zero_secs:
-            assignment.append(p0.image_under(sec.inverse()))
+        assignment = [p0] + [p0.image_under(sec.inverse()) for sec in zero_secs]
         expected = p0.mask[q.table[(0,) * n]]  # grown from the last axis, in flat order
         for p in reversed(assignment[1:]):
             expected = (p.mask[:, None] ^ expected).ravel()
@@ -163,14 +153,8 @@ def semilinear_profile(q: Quasigroup) -> SemilinearProfile:
 
 
 def _store(q: Quasigroup, assignments) -> SemilinearProfile:
-    """Cache q's profile, its assignments ordered by P_0 as a scan finds them."""
-    global _cache_bytes
-    profile = SemilinearProfile(arity=q.arity, assignments=tuple(sorted(assignments)))
-    with _cache_lock:
-        if _cache.setdefault(q, profile) is profile:
-            _cache_bytes += q.table.nbytes
-        while len(_cache) > CACHE_ENTRIES or _cache_bytes > CACHE_BYTES:
-            _cache_bytes -= _cache.popitem(last=False)[0].table.nbytes
+    """Keep q's profile on q, its assignments ordered by P_0 as a scan finds them."""
+    q._profile = profile = SemilinearProfile(arity=q.arity, assignments=tuple(sorted(assignments)))
     return profile
 
 

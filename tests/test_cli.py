@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -74,6 +75,16 @@ class TestGen:
     def test_fixed_arity_conflict(self):
         code, _ = invoke(["gen", "z4", "-n", "3"])
         assert code == EXIT_FORMAT
+
+    def test_arity_above_the_cap_exits_before_building(self):
+        # unchecked, construction-t samples its skeleton in O(n^2) time
+        # and chain builds an n-entry list before the table cap trips
+        for family, n in (("construction-t", 13), ("construction-t", 200001),
+                          ("chain", 13), ("chain", 20000001)):
+            start = time.perf_counter()
+            code, out, err = run_captured(["gen", family, "-n", str(n)])
+            assert (code, out) == (EXIT_CAP, "") and err.startswith("error:"), (family, n)
+            assert time.perf_counter() - start < 2, (family, n)
 
 
 class TestAtp:

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 import sys
 import threading
@@ -128,39 +129,39 @@ class TestXorMatchesBincount:
             assert semilinear_profile(q).assignments == bincount_assignments(q)
 
 
-class TestProfileCache:
-    @pytest.fixture(autouse=True)
-    def empty_cache(self, monkeypatch):
-        monkeypatch.setattr(semilinear, "_cache", type(semilinear._cache)())
-        monkeypatch.setattr(semilinear, "_cache_bytes", 0)
+class TestProfileOnTheTable:
+    """A profile lives on its Quasigroup object; no module state keeps tables."""
 
-    def test_retained_bytes_stay_under_the_bound(self):
+    def test_no_reference_to_a_table_is_kept(self):
         rng = random.Random(12)
-        base = random_semilinear_composition(9, 12)  # 256 KiB tables
-        first = base.isotope(random_isotopy(9, rng))
-        profile = semilinear_profile(first)
-        assert semilinear_profile(first) is profile  # a hit
-        held = []
-        for _ in range(semilinear.CACHE_BYTES // first.table.nbytes + 8):
-            q = base.isotope(random_isotopy(9, rng))
-            semilinear_profile(q)
-            held.append(q)
-            assert semilinear._cache_bytes <= semilinear.CACHE_BYTES
-            assert semilinear._cache_bytes == sum(k.table.nbytes for k in semilinear._cache)
-        assert first not in semilinear._cache and held[-1] in semilinear._cache
-        assert len(held) * first.table.nbytes > semilinear.CACHE_BYTES
+        outer = random_semilinear_composition(4, 12)
+        inner = random_semilinear_composition(3, 13)
+        theta = random_isotopy(4, rng)
 
-    def test_threads_keep_the_byte_count(self, monkeypatch):
-        # more threads than cores on overlapping inputs, evicting all the time
-        monkeypatch.setattr(semilinear, "CACHE_ENTRIES", 8)
+        def counts(*qs):
+            return [(sys.getrefcount(q), sys.getrefcount(q.table)) for q in qs]
+
+        before = counts(outer, inner)
+        semilinear_profile(outer)
+        semilinear_profile(inner)
+        image = semilinear._isotope(outer, theta)
+        composed = semilinear._compose_at(outer, inner, 2)
+        assert counts(outer, inner) == before
+        plain_image, plain_composed = outer.isotope(theta), outer.compose_at(inner, 2)
+        assert semilinear_profile(image) == fresh_scan(plain_image)
+        assert semilinear_profile(composed) == fresh_scan(plain_composed)
+        assert counts(image, composed) == counts(plain_image, plain_composed)
+
+    def test_threads_get_the_single_threaded_profiles(self):
+        # more threads than cores, all racing to profile the same fresh tables
         squares = list(all_binary_quasigroups())[:40]
-        expected = {q: semilinear_profile(q) for q in squares}
+        expected = [fresh_scan(q) for q in squares]
         errors = []
 
         def work(k):
             try:
-                for q in (squares[k:] + squares[:k]) * 4:
-                    assert semilinear_profile(q) == expected[q]
+                for i in (list(range(k, 40)) + list(range(k))) * 4:
+                    assert semilinear_profile(squares[i]) == expected[i]
             except BaseException as exc:  # reported below, from the main thread
                 errors.append(exc)
                 raise
@@ -176,28 +177,27 @@ class TestProfileCache:
         finally:
             sys.setswitchinterval(interval)
         assert not errors and not any(t.is_alive() for t in threads)
-        assert len(semilinear._cache) <= 8
-        assert semilinear._cache_bytes == sum(k.table.nbytes for k in semilinear._cache)
+        assert [semilinear_profile(q) for q in squares] == expected
 
-    def test_entry_bound(self, monkeypatch):
-        monkeypatch.setattr(semilinear, "CACHE_ENTRIES", 3)
-        squares = list(all_binary_quasigroups())[:5]
-        for q in squares:
-            semilinear_profile(q)
-        semilinear_profile(squares[2])  # a hit moves it to the back
-        assert list(semilinear._cache) == [squares[3], squares[4], squares[2]]
+    def test_a_second_call_returns_the_same_object(self):
+        q = random_semilinear_composition(5, 14)
+        profile = semilinear_profile(q)
+        assert semilinear_profile(q) is profile
+        image = semilinear._isotope(q, random_isotopy(5, random.Random(14)))
+        assert semilinear_profile(image) is semilinear_profile(image)
 
-
-def drop(q):
-    """Forget q's cached profile, keeping the byte count."""
-    with semilinear._cache_lock:
-        if semilinear._cache.pop(q, None) is not None:
-            semilinear._cache_bytes -= q.table.nbytes
+    def test_a_pickled_table_loads_without_its_profile(self):
+        for q in (z4(), xor2(), chain(5), random_semilinear_composition(4, 15)):
+            profile = semilinear_profile(q)
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                loaded = pickle.loads(pickle.dumps(q, protocol))
+                assert loaded == q and loaded._profile is None
+                assert semilinear_profile(loaded) == profile
 
 
 def fresh_scan(q):
-    drop(q)
-    return semilinear_profile(q)
+    """A scan of q's table on a new object, which holds no profile yet."""
+    return semilinear_profile(Quasigroup(q.table, _trusted=True))
 
 
 class TestDerivedProfiles:
@@ -206,8 +206,6 @@ class TestDerivedProfiles:
 
     @pytest.fixture(autouse=True)
     def counted_scans(self, monkeypatch):
-        monkeypatch.setattr(semilinear, "_cache", type(semilinear._cache)())
-        monkeypatch.setattr(semilinear, "_cache_bytes", 0)
         self.scanned = []  # the tables scanned, once per partition
         lookup = semilinear._lookup
 
@@ -221,12 +219,11 @@ class TestDerivedProfiles:
         """derive() must store out's profile without a scan, equal to a fresh one."""
         for q in sources:
             semilinear_profile(q)
-        drop(out)
         before = len(self.scanned)
-        assert derive() == out
-        if out not in sources:  # an autotopy maps q to itself, so dropping out drops q
-            assert len(self.scanned) == before
-        derived = semilinear._cache[out]
+        result = derive()
+        assert result == out
+        assert len(self.scanned) == before
+        derived = result._profile
         assert derived == fresh_scan(out)
         return len(derived.assignments)
 
@@ -252,7 +249,6 @@ class TestDerivedProfiles:
         assert sum(sizes["isotope"].values()) == len(tables)
         for kind in sizes.values():  # not, once, and linearly semilinear all occur
             assert {0, 1, 3} <= set(kind), sizes
-        assert semilinear._cache_bytes == sum(k.table.nbytes for k in semilinear._cache)
 
     def test_decomposition_labels_hold_scanned_profiles(self):
         for name, q in acceptance_corpus():
@@ -266,11 +262,9 @@ class TestDerivedProfiles:
             # and the reduced labels are derived from the proper ones
             assert set(self.scanned[before:]) <= {node.label.table.tobytes()
                                                   for node, _ in iter_nodes(proper)}, name
-            assert semilinear._cache_bytes == sum(k.table.nbytes for k in semilinear._cache)
-            labels = [node.label for t in (proper, reduced) for node, _ in iter_nodes(t)]
-            cached = [semilinear._cache[label] for label in labels]
-            for label, profile in zip(labels, cached):
-                assert profile == fresh_scan(label), name
+            for t in (proper, reduced):
+                for node, _ in iter_nodes(t):
+                    assert node.label._profile == fresh_scan(node.label), name
 
 
 class TestMembership:
