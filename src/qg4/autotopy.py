@@ -4,8 +4,8 @@ A candidate (target code tuple, value permutation theta_0) forces at most one
 isotopy through the sections at the all-zero anchor and at the target.
 Candidates are uint8 rows of permutation indices, built for a block of targets
 by one index-arithmetic pass; a block too large for one full-table check
-block first meets two rounds of fixed probe cells, which reject most wrong
-candidates, and a candidate is a hit only once it holds on the whole table.
+block first meets 64 fixed probe cells, which reject most wrong candidates,
+and a candidate is a hit only once it holds on the whole table.
 
 |Atp(f)| = |orbit of the anchor| * |stabilizer|.  The first block is the
 anchor and the n unit targets, the flat indices 4^j, where a transitive group
@@ -25,10 +25,10 @@ Z4 or of Klein type; the open targets left must match the anchor's count of
 Klein-type (i, j)-sections along x_k in each (i, j, k)-cube.  A target outside
 H's final orbit was pruned or had all its candidates rejected, so orbit(H) =
 orbit(G) and the group is exact.  The same candidates and the same filter
-between two quasigroups decide isotopy at the first hit.  The rows come out
-in key order with their keys and the orbit, cached together, and greedy
-generators are read off them layer by layer down the kernel chain of that
-order, with no second closure.
+between two quasigroups, swept by the same block loop, decide isotopy at the
+first hit.  Greedy generators are read off the rows in key order, layer by
+layer down the kernel chain of that order, with no second closure, and the
+group record is cached with the orbit.
 """
 
 from __future__ import annotations
@@ -61,8 +61,7 @@ from .core import (
 DEFAULT_CAP = 6
 MATERIALIZE_LIMIT = 2**20
 TARGET_BLOCK = 1024  # targets per candidate block, six candidates each
-PROBE_CELLS = 16
-PROBE_CELLS_2 = 48  # a second probe round, on the survivors of the first
+PROBE_CELLS = 64
 CHECK_AXES = 8  # a full-table check block spans 4^8 = 2^16 cells of the trailing axes
 
 _log = logging.getLogger("qg4")
@@ -197,15 +196,13 @@ def _sections(flat: np.ndarray, n: int, cells: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _probes(n: int) -> list[tuple[np.ndarray, list[np.ndarray]]]:
-    """The two probe rounds at arity n: the cells, and per axis each permutation's
-    flat-index term at each cell.  A cell is the SplitMix64 output for a counter,
-    cut to 2n bits.  Fibonacci hashing alone spreads cells along the flat index
-    but correlates their digits: 64 such cells at arity 5 passed candidates that
-    fail on an eighth of the table."""
-    cells = _splitmix(PROBE_CELLS + PROBE_CELLS_2, 2 * n)
-    return [(c, [_IMG[:, c // w % 4].astype(np.int32) * w for w in _WEIGHTS[-n:]])
-            for c in np.split(cells, [PROBE_CELLS])]
+def _probes(n: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The probe cells at arity n, and per axis each permutation's flat-index term at
+    each cell.  A cell is the SplitMix64 output for a counter, cut to 2n bits.  Fibonacci
+    hashing alone spreads cells along the flat index but correlates their digits: 64
+    such cells at arity 5 passed candidates that fail on an eighth of the table."""
+    cells = _splitmix(PROBE_CELLS, 2 * n)
+    return cells, [_IMG[:, cells // w % 4].astype(np.int32) * w for w in _WEIGHTS[-n:]]
 
 
 class _Candidates:
@@ -221,8 +218,10 @@ class _Candidates:
         self.con_zero = _sections(self.con, n, np.zeros(1, dtype=np.intp))[0]
         self.shifts = np.left_shift(self.con, 1)  # theta_0's image of v sits at bit 2v
         self.per_check = 4 ** max(0, CHECK_AXES - n)  # candidates per check block
-        self.rounds = [(terms, _IMG[:, self.con[cells]]) for cells, terms in _probes(n)]
-        self.open = np.ones(4**n, dtype=bool)  # targets a search may still sweep
+        cells, self.terms = _probes(n)
+        self.lhs = _IMG[:, self.con[cells]]  # theta_0's image of the constraint at each cell
+        self.open = np.ones(4**n, dtype=bool)  # targets not swept, pruned or in a group's orbit
+        self.swept = self.rejected = self.skipped = self.checks = self.hits = 0
 
     def block(self, targets: np.ndarray) -> np.ndarray:
         """The candidate rows at `targets` worth a full-table check, in sweep order:
@@ -238,10 +237,26 @@ class _Candidates:
         rows = rows.reshape(-1, n + 1)
         if len(rows) <= self.per_check:
             return rows
-        for terms, lhs in self.rounds:
-            flat = sum(axis[rows[:, i]] for i, axis in enumerate(terms, 1))
-            rows = rows[(np.take(src, flat) == lhs[rows[:, 0]]).all(axis=1)]
-        return rows
+        flat = sum(axis[rows[:, i]] for i, axis in enumerate(self.terms, 1))
+        return rows[(np.take(src, flat) == self.lhs[rows[:, 0]]).all(axis=1)]
+
+    def sweep(self, targets: np.ndarray):
+        """Yield the hits of each check block of the candidates at `targets`, in sweep
+        order, then close the targets.  Rows whose target has left `open` are skipped.
+        The anchor's rows, at most six and first, all go in one check block: a group
+        search holds the whole stabilizer before it skips rows in H's orbit."""
+        rows = self.block(targets)
+        self.swept, self.rejected = self.swept + len(targets), self.rejected + 6 * len(targets) - len(rows)
+        while len(rows):
+            outside = self.open[_targets(rows)]
+            self.skipped, rows = self.skipped + len(rows) - int(outside.sum()), rows[outside]
+            chunk = max(self.per_check, 6) if targets[0] == 0 and not self.checks else self.per_check
+            found, rows = rows[:chunk], rows[chunk:]
+            self.checks += len(found)
+            found = found[self.verify(found)]
+            self.hits += len(found)
+            yield found
+        self.open[targets] = False
 
     def verify(self, rows: np.ndarray) -> np.ndarray:
         """Mask of the candidate rows that hold on every cell of the table; the
@@ -349,47 +364,33 @@ def _autotopies(q: Quasigroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the anchor's orbit over the flat index, by the orbit-stabilizer search."""
     cand, n = _Candidates(q, q), q.arity
     orbit = np.zeros(4**n, dtype=bool)  # H's orbit of the anchor: x is in H iff its target is
-    open_ = cand.open  # targets neither swept, in H's orbit nor pruned
-    gens, known = np.empty((0, n + 1), dtype=np.uint8), None
-    pruned = swept = rejected = skipped = checks = hits = 0
+    gens, known, pruned = np.empty((0, n + 1), dtype=np.uint8), None, 0
     targets = np.r_[0, 4 ** np.arange(n)]  # the first block: the anchor and the unit targets
     start, size, pruning = 1, 1, False
     while len(targets):
         before = len(gens)
-        rows = cand.block(targets)
-        swept, rejected = swept + len(targets), rejected + 6 * len(targets) - len(rows)
-        while len(rows):
-            outside = open_[_targets(rows)]
-            skipped, rows = skipped + len(rows) - outside.sum(), rows[outside]
-            # The anchor's rows, at most six and first, all go in the first chunk:
-            # the whole stabilizer is in H before a chunk skips rows in H's orbit.
-            chunk = cand.per_check if known is not None else max(cand.per_check, 6)
-            found, rows = rows[:chunk], rows[chunk:]
-            checks += len(found)
-            found = found[cand.verify(found)]
-            hits += len(found)
+        for found in cand.sweep(targets):
             if known is None:  # the hits at the anchor are the stabilizer, a group: H
                 known = found[_targets(found) == 0]
                 orbit[0], stab = True, len(known)
                 gens = known[known.any(axis=1)]
             while len(found := found[~orbit[_targets(found)]]):  # the first hit outside H
                 gens = np.concatenate([gens, found[:1]])
-                known = _extend(known, gens, orbit, open_)
-        open_[targets] = False
+                known = _extend(known, gens, orbit, cand.open)
         size = 1 if len(gens) > before or targets[0] == 0 else min(2 * size, TARGET_BLOCK)
         if not pruning and targets[0] and len(gens) == before:
             # Only now are the section classes worth computing: a transitive
             # group adds a generator at every block until its orbit is complete.
             pruning, unmatched = True, ~cand.matching()
-            pruned = int((unmatched & open_).sum())
-            open_ &= ~unmatched
-        if len(targets := _next_targets(open_, start, size)):
+            pruned = int((unmatched & cand.open).sum())
+            cand.open &= ~unmatched
+        if len(targets := _next_targets(cand.open, start, size)):
             start = int(targets[-1]) + 1
-    skipped += 6 * (4**n - swept - pruned)  # the targets never swept lie in the orbit
+    skipped = cand.skipped + 6 * (4**n - cand.swept - pruned)  # the targets never swept lie in the orbit
     _log.debug("sweep: arity %d, %d candidates, %d targets pruned, %d probe survivors, "
                "%d skipped in the orbit, %d full-table checks, %d hits, %d generators, order %d",
-               n, 6 * 4**n, pruned, 6 * 4**n - 6 * pruned - rejected, skipped, checks, hits,
-               len(gens), len(known))
+               n, 6 * 4**n, pruned, 6 * 4**n - 6 * pruned - cand.rejected, skipped, cand.checks,
+               cand.hits, len(gens), len(known))
     if orbit.sum() * stab != len(known):
         raise AssertionError("the order is not |orbit| * |stabilizer|")
     keys = _keys(known)
@@ -401,25 +402,15 @@ def _first_isotopy(q1: Quasigroup, q2: Quasigroup) -> np.ndarray:
     """The first row theta, in sweep order, with theta_0 * q2 = q1(theta_1 ., ...),
     or no row.  After the first target, only targets whose sections match q2's
     at the anchor are swept; the others carry no such theta."""
-    cand, n = _Candidates(q1, q2), q1.arity
-    candidates = survivors = checks = 0
-    hit = np.empty((0, n + 1), dtype=np.uint8)
-    open_ = np.ones(4**n, dtype=bool)
-    start, size = 0, 1
-    while not len(hit) and len(targets := _next_targets(open_, start, size)):
-        rows = cand.block(targets)
-        candidates, survivors = candidates + 6 * len(targets), survivors + len(rows)
-        for s in range(0, len(rows), cand.per_check):
-            block = rows[s:s + cand.per_check]
-            checks += len(block)
-            hit = block[cand.verify(block)][:1]
-            if len(hit):
-                break
+    cand = _Candidates(q1, q2)
+    hit, start, size = np.empty((0, q1.arity + 1), dtype=np.uint8), 0, 1
+    while not len(hit) and len(targets := _next_targets(cand.open, start, size)):
+        hit = next((found[:1] for found in cand.sweep(targets) if len(found)), hit)
         if not start and not len(hit):
-            open_ &= cand.matching()
+            cand.open &= cand.matching()
         start, size = int(targets[-1]) + 1, min(2 * size, TARGET_BLOCK)
-    _log.debug("isotopy search: arity %d, %d candidates, %d probe survivors, "
-               "%d full-table checks, %d hits", n, candidates, survivors, checks, len(hit))
+    _log.debug("isotopy search: arity %d, %d candidates, %d probe survivors, %d full-table checks, "
+               "%d hits", q1.arity, 6 * cand.swept, 6 * cand.swept - cand.rejected, cand.checks, len(hit))
     return hit
 
 
@@ -429,17 +420,15 @@ def _check_cap(q: Quasigroup, cap: int) -> None:
 
 
 @functools.lru_cache(maxsize=1)
-def _sweep(q: Quasigroup) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """The autotopies of q as read-only rows in key order, their keys, and the
-    anchor's orbit as a mask over the flat index.  The cache holds one table:
-    its readers (is_transitive, zero_orbit) follow the search of the same
-    table, and more entries would pin gigabytes of rows at arity 10.  Above
-    MATERIALIZE_LIMIT, where no group record holds the keys, it does not pin
-    them."""
+def _sweep(q: Quasigroup) -> tuple[AutotopyGroup, np.ndarray]:
+    """The group record of q and the anchor's orbit as a read-only mask over
+    the flat index.  The cache holds one table: its readers (is_transitive,
+    zero_orbit) follow the search of the same table.  Above MATERIALIZE_LIMIT
+    the record keeps no elements, so no rows or keys outlive the search."""
     rows, keys, orbit = _autotopies(q)
     for a in (rows, keys, orbit):
         a.setflags(write=False)
-    return rows, keys if len(rows) <= MATERIALIZE_LIMIT else None, orbit
+    return _group(_Elements(rows, keys)), orbit
 
 
 def _group(elements) -> AutotopyGroup:
@@ -461,14 +450,13 @@ def autotopy_group(q: Quasigroup, *, cap: int = DEFAULT_CAP) -> AutotopyGroup:
     Generators come from a greedy lexicographic sieve and are reproducible.
     """
     _check_cap(q, cap)
-    rows, keys, _ = _sweep(q)
-    return _group(_Elements(rows, _keys(rows) if keys is None else keys))
+    return _sweep(q)[0]
 
 
 def _orbit(q: Quasigroup, cap: int) -> np.ndarray:
     """Sorted flat indices of the zero-anchor orbit: its images under every autotopy."""
     _check_cap(q, cap)
-    return np.flatnonzero(_sweep(q)[2])
+    return np.flatnonzero(_sweep(q)[1])
 
 
 def zero_orbit(q: Quasigroup, *, cap: int = DEFAULT_CAP) -> frozenset:

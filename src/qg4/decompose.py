@@ -35,6 +35,7 @@ from .core import (
     FormatError,
     IDENTITY,
     PERMS,
+    PERMS_FIXING,
     Isotopy,
     Perm,
     Quasigroup,
@@ -390,16 +391,14 @@ def reduce_decomposition(t: Tree) -> tuple[Tree, Isotopy]:
     if not is_proper(t):
         raise ValueError("reduce_decomposition needs a proper tree")
 
-    single = struct.infos[0]
-    if len(struct.infos) == 1 and semilinear_profile(single.label).is_linear:
-        # A lone linear label is normalized straight to the plain xor table;
-        # the slot permutations spread onto the leaf edges by variable.
-        from .autotopy import are_isotopic
-        from .construct import linear
-
-        theta = are_isotopic(single.label, linear(struct.arity), cap=struct.arity)
-        assert theta is not None
-        edge_perms = dict(zip(single.slots, theta))
+    label = struct.infos[0].label
+    if lone_linear := len(struct.infos) == 1 and semilinear_profile(label).is_linear:
+        # A lone linear label goes straight to the xor table by the search's first
+        # isotopy onto it: all six theta_0 at the anchor hit, and xor's zero sections
+        # are the identity.  The slot permutations spread onto the leaf edges by variable.
+        theta0 = PERMS_FIXING[0][label(*(0,) * struct.arity)][0]
+        theta = [theta0] + [label.zero_section(i).inverse() * theta0 for i in range(1, struct.arity + 1)]
+        edge_perms = dict(zip(struct.infos[0].slots, theta))
     else:
         targets = [PairPartition(1 if info.depth % 2 == 0 else 2) for info in struct.infos]
         edge_perms: dict[EdgeKey, Perm] = {}
@@ -419,8 +418,11 @@ def reduce_decomposition(t: Tree) -> tuple[Tree, Isotopy]:
                     a1, a2 = (a, b) if targets[u].partner == 1 else (b, a)
                     edge_perms[key] = Perm([0, a1, a2, 6 - a1 - a2])
 
-    flat = Isotopy(edge_perms[("leaf", j)] for j in range(struct.arity + 1))
-    return _apply_edge_isotopy(struct, edge_perms), flat
+    reduced = _apply_edge_isotopy(struct, edge_perms)
+    if lone_linear and not np.array_equal(reduced.label.table, functools.reduce(
+            np.bitwise_xor, np.ix_(*[np.arange(ORDER, dtype=np.uint8)] * struct.arity))):
+        raise AssertionError("a linear label did not normalize to the xor table")
+    return reduced, Isotopy(edge_perms[("leaf", j)] for j in range(struct.arity + 1))
 
 
 def _apply_edge_isotopy(struct: "_Structure", perms: dict[EdgeKey, Perm]) -> Tree:

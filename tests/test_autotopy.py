@@ -1,6 +1,7 @@
 import io
 import logging
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,7 +310,7 @@ class TestGreedyGenerators:
         # several targets; a target of r * H other than r(anchor) marked in
         # advance must stop the extension by r
         q = z4()
-        rows = autotopy._sweep(q)[0]
+        rows = autotopy._autotopies(q)[0]
         targets = autotopy._targets(rows)
         stab = rows[targets == 0]
         gens = np.concatenate([stab[stab.any(axis=1)], rows[targets == 1][:1]])
@@ -328,9 +329,10 @@ class TestGreedyGenerators:
         # search's rows and on the same rows given raw in reverse order
         for q in oracle_tables():
             if q.arity <= 8:
-                expected = keyed_greedy(autotopy._sweep(q)[0])
-                assert list(autotopy_group(q, cap=8).generators) == expected
-                assert greedy_generators(autotopy._sweep(q)[0][::-1].copy()) == expected
+                g = autotopy_group(q, cap=8)
+                expected = keyed_greedy(g.elements.rows)
+                assert list(g.generators) == expected
+                assert greedy_generators(g.elements.rows[::-1].copy()) == expected
 
 
 class TestContains:
@@ -489,7 +491,9 @@ class TestBatchedMatchesScalar:
         for q, rows in zip(tables, expected):
             assert (autotopy._autotopies(q)[0] == rows).all()
             moved = q.isotope(random_isotopy(q.arity, random.Random(1)))
-            assert len(autotopy._first_isotopy(q, moved)) == 1
+            hit = autotopy._first_isotopy(q, moved)
+            assert len(hit) == 1
+            assert autotopy._isotopies(hit) == [scalar_isotopy(q, moved)]
 
 
 class TestSectionPruning:
@@ -632,7 +636,8 @@ class TestOrbitStabilizerSweep:
             _, _, _, survivors, skipped, checks, hits, generators, _ = record.args
             assert survivors == checks + skipped and checks >= hits >= generators
             assert counts["_keys"] == keys_before + 1
-            rows, keys, orbit = autotopy._sweep(q)
+            record, orbit = autotopy._sweep(q)
+            rows, keys = record.elements.rows, record.elements.keys
             targets = _ZERO_IMG[rows[:, 1:]] @ 4 ** np.arange(n - 1, -1, -1)
             assert np.array_equal(np.flatnonzero(orbit), np.unique(targets))
             stab = stabilizer(q).members
@@ -646,7 +651,7 @@ class TestOrbitStabilizerSweep:
         # the count check and the closure of the rows, given raw, at arity 7 and 9
         for q in (chain(9), construction_t(ConstructionTSpec.random(9, 1))[1], linear(7)):
             g = autotopy_group(q, cap=9)
-            rows, _, orbit = autotopy._sweep(q)
+            rows, orbit = g.elements.rows, autotopy._sweep(q)[1]
             assert g.order == orbit.sum() * stabilizer(q, cap=9).size == len(rows)
             assert greedy_generators(rows.copy()) == list(g.generators)
 
@@ -655,3 +660,20 @@ class TestOrbitStabilizerSweep:
         for q in (linear(3), chain(5), random_semilinear_composition(4, 1900)):
             autotopy_group(q)
         assert autotopy._sweep.cache_info().currsize == 1
+
+    def test_the_cache_pins_no_rows_above_the_limit(self, monkeypatch):
+        # linear(8) has 393,216 autotopies, 3.5 MB of rows and 3.1 MB of keys
+        monkeypatch.setattr(autotopy, "MATERIALIZE_LIMIT", 1000)
+        q = linear(8)
+        autotopy._sweep.cache_clear()
+        tracemalloc.start()
+        try:
+            g = autotopy_group(q, cap=8)
+            assert g.elements is None and g.order == 6 * 4**8
+            del g
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 2**20
+        assert is_transitive(q, cap=8)  # the orbit is still cached
+        assert autotopy._sweep.cache_info().hits == 1

@@ -363,6 +363,23 @@ class TestReduce:
         assert q.isotope(theta) == tree_eval(reduced)
         assert reduced.label == linear(3)
 
+    def test_lone_linear_label_without_a_search(self, monkeypatch):
+        # the isotopy is the search's first hit onto linear(n), derived directly
+        rng = random.Random(17)
+        tables = [linear(n).isotope(random_isotopy(n, rng)) for n in range(2, 10)]
+        expected = [are_isotopic(q, linear(q.arity), cap=q.arity) for q in tables]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("reduce_decomposition searched for an isotopy")
+
+        monkeypatch.setattr(autotopy, "_first_isotopy", refuse)
+        for q, witness in zip(tables, expected):
+            t = Node(q, tuple(Leaf(i) for i in range(1, q.arity + 1)))
+            reduced, theta = reduce_decomposition(t)
+            assert theta == witness
+            assert reduced == Node(linear(q.arity), t.children)
+            assert q.isotope(theta) == tree_eval(reduced)
+
     def test_rejects_improper(self):
         t = Node(xor2(), (Node(xor2(), (Leaf(1), Leaf(2))), Leaf(3)))
         with pytest.raises(ValueError):
