@@ -26,9 +26,9 @@ Klein-type (i, j)-sections along x_k in each (i, j, k)-cube.  A target outside
 H's final orbit was pruned or had all its candidates rejected, so orbit(H) =
 orbit(G) and the group is exact.  The same candidates and the same filter
 between two quasigroups, swept by the same block loop, decide isotopy at the
-first hit.  Greedy generators are read off the rows in key order, layer by
-layer down the kernel chain of that order, with no second closure, and the
-group record is cached with the orbit.
+first hit.  A group is held as its int64 keys, sorted once in place; greedy
+generators are read off them down the kernel chain of key order by binary
+search, with no second closure, and the group record is cached with the orbit.
 """
 
 from __future__ import annotations
@@ -82,18 +82,24 @@ _INVOLUTION_QUOTIENT = np.array([p.order() == 2 for p in PERMS])[_MUL_A[:, _INV_
 
 
 class _Elements(Sequence):
-    """Key-sorted group elements held as rows of permutation indices, with
-    their keys; the Isotopy objects are built when the elements are first read."""
+    """Group elements held as their sorted int64 keys and the row width; the
+    read-only rows and the Isotopy objects are decoded when first read."""
 
-    def __init__(self, rows: np.ndarray, keys: np.ndarray):
-        self.rows, self.keys = rows, keys
+    def __init__(self, keys: np.ndarray, width: int):
+        self.keys, self.width = keys, width
+
+    @functools.cached_property
+    def rows(self) -> np.ndarray:
+        rows = _rows(self.keys, self.width)
+        rows.setflags(write=False)
+        return rows
 
     @functools.cached_property
     def _items(self) -> tuple[Isotopy, ...]:
         return tuple(_isotopies(self.rows))
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.keys)
 
     def __getitem__(self, i):
         return self._items[i]
@@ -359,9 +365,9 @@ def _next_targets(open_: np.ndarray, start: int, size: int) -> np.ndarray:
         width *= 4
 
 
-def _autotopies(q: Quasigroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows of the autotopies of q in key order, their keys, and a bool mask of
-    the anchor's orbit over the flat index, by the orbit-stabilizer search."""
+def _autotopies(q: Quasigroup) -> tuple[_Elements, np.ndarray]:
+    """The autotopies of q as sorted keys, and a bool mask of the anchor's orbit
+    over the flat index, by the orbit-stabilizer search."""
     cand, n = _Candidates(q, q), q.arity
     orbit = np.zeros(4**n, dtype=bool)  # H's orbit of the anchor: x is in H iff its target is
     gens, known, pruned = np.empty((0, n + 1), dtype=np.uint8), None, 0
@@ -394,8 +400,8 @@ def _autotopies(q: Quasigroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if orbit.sum() * stab != len(known):
         raise AssertionError("the order is not |orbit| * |stabilizer|")
     keys = _keys(known)
-    order = np.argsort(keys)
-    return known[order], keys[order], orbit
+    keys.sort()
+    return _Elements(keys, n + 1), orbit
 
 
 def _first_isotopy(q1: Quasigroup, q2: Quasigroup) -> np.ndarray:
@@ -424,22 +430,20 @@ def _sweep(q: Quasigroup) -> tuple[AutotopyGroup, np.ndarray]:
     """The group record of q and the anchor's orbit as a read-only mask over
     the flat index.  The cache holds one table: its readers (is_transitive,
     zero_orbit) follow the search of the same table.  Above MATERIALIZE_LIMIT
-    the record keeps no elements, so no rows or keys outlive the search."""
-    rows, keys, orbit = _autotopies(q)
-    for a in (rows, keys, orbit):
+    the record keeps no elements, so no keys outlive the search."""
+    elements, orbit = _autotopies(q)
+    for a in (elements.keys, orbit):
         a.setflags(write=False)
-    return _group(_Elements(rows, keys)), orbit
+    return _group(elements), orbit
 
 
 def _group(elements) -> AutotopyGroup:
-    """Group record of the search's _Elements, or of other rows, which
-    greedy_generators checks for closure: lexicographic elements, greedy
-    generators, elements kept when the order is within MATERIALIZE_LIMIT."""
+    """Group record of the search's _Elements, or of raw rows, which greedy_generators
+    checks for closure and whose keys are sorted here: greedy generators, and the
+    elements in key order when the order is within MATERIALIZE_LIMIT."""
     gens = tuple(greedy_generators(elements))
     if not isinstance(elements, _Elements):
-        keys = _keys(elements)
-        order = np.argsort(keys)
-        elements = _Elements(elements[order], keys[order])
+        elements = _Elements(np.sort(_keys(elements)), elements.shape[1])
     keep = elements if len(elements) <= MATERIALIZE_LIMIT else None
     return AutotopyGroup(order=len(elements), generators=gens, elements=keep)
 
@@ -508,11 +512,18 @@ def are_isotopic(q1: Quasigroup, q2: Quasigroup, *, cap: int = DEFAULT_CAP) -> I
 def _keys(rows: np.ndarray) -> np.ndarray:
     """Base-24 int64 key of each row; key order is Isotopy.key order.  Horner's
     rule, one column at a time, so no int64 copy of the rows is made."""
+    if rows.shape[1] > MAX_ARITY + 1:  # 24^13 < 2^63 < 24^14: a wider key would wrap
+        raise CapError(f"arity {rows.shape[1] - 1} exceeds the table cap {MAX_ARITY}")
     keys = rows[:, 0].astype(np.int64)
     for c in range(1, rows.shape[1]):
         keys *= 24
         keys += rows[:, c]
     return keys
+
+
+def _rows(keys: np.ndarray, width: int) -> np.ndarray:
+    """The rows of permutation indices whose keys are `keys`: _keys' inverse."""
+    return np.column_stack(np.unravel_index(keys, (24,) * width)).astype(np.uint8)
 
 
 def _to_rows(isotopies) -> np.ndarray:
@@ -578,39 +589,36 @@ def greedy_generators(elements) -> list[Isotopy]:
     isotopies or rows of permutation indices), in lexicographic order, that the
     earlier picks do not generate.  In key order, PERMS[0] = id first, the
     kernels K_i = {theta_0 = ... = theta_i = id} are a chain listed as {id},
-    then layer n, ..., layer 0: the rows whose first non-identity column is i.
-    On entering layer i the picks generate K_i, so a row there is generated iff
-    theta_i lies in the span in S_4 of the layer's picks.  Each layer's values
-    with id must be a subgroup of S_4, their orders must multiply to |S|, and S
-    other than the search's closed rows must hold S * p for each pick p: then
-    the picks generate a group of at least |S| elements inside S."""
+    then layer n, ..., layer 0: the rows whose first non-identity column is i,
+    with value v from key v * 24^(n-i), found by binary search.  On entering
+    layer i the picks generate K_i, so a row there is generated iff theta_i
+    lies in the span in S_4 of the layer's picks.  Each layer's values with id
+    must be a subgroup of S_4, their orders must multiply to |S|, and S other
+    than the search's closed rows must hold S * p for each pick p: then the
+    picks generate a group of at least |S| elements inside S."""
     if isinstance(elements, _Elements):  # key-sorted already
-        rows, keys = elements.rows, elements.keys
+        keys, width = elements.keys, elements.width
     else:
         rows = elements if isinstance(elements, np.ndarray) else _to_rows(elements)
         if not len(rows):
             return []
-        keys = _keys(rows)
-        order = np.argsort(keys)
-        rows, keys = rows[order], keys[order]
-    if rows[0].any() or (keys[1:] <= keys[:-1]).any():
+        keys, width = np.sort(_keys(rows)), rows.shape[1]
+    if keys[0] or (keys[1:] <= keys[:-1]).any():
         raise AssertionError("element set lacks the identity or repeats an element")
-    col = (rows[1:] != 0).argmax(axis=1)  # the first non-identity column of each row
-    val = np.take_along_axis(rows[1:], col[:, None], axis=1)[:, 0]
-    runs = np.flatnonzero(np.diff(24 * col + val, prepend=-1))  # each value's first row
+    bounds = np.arange(1, 25) * 24 ** np.arange(width, dtype=np.int64)[:, None]  # v * 24^(n-i)
     picks, size = [], 1
-    for layer in np.split(runs, np.flatnonzero(np.diff(col[runs])) + 1):
-        values, span = val[layer].tolist(), frozenset({0})
-        for v, r in zip(values, layer.tolist()):
+    for starts in np.searchsorted(keys, bounds).tolist():  # layer n first; v = 24 ends a layer
+        values, span = [v for v in range(1, 24) if starts[v - 1] < starts[v]], frozenset({0})
+        for v in values:
             if v not in span:
                 span = _join(span, v)
-                picks.append(r + 1)
+                picks.append(starts[v - 1])
         if span != {0, *values}:
             raise AssertionError("a layer's values are not a subgroup of S_4")
         size *= len(span)
-    if size != len(rows):
+    if size != len(keys):
         raise AssertionError("the layer orders do not multiply to the order")
-    gens = rows[picks]
+    gens = _rows(keys[picks], width)
     if not isinstance(elements, _Elements):
         for p in gens:  # the keys are strictly increasing: a product is in S iff found there
             prods = _keys(_MUL_A[rows, p])

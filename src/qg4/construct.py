@@ -117,11 +117,9 @@ def chain(n: int) -> Quasigroup:
     innermost first; even n: the same with a 4-ary innermost block.  The
     autotopy order is 2^((n-1)/2+2) for odd n and 2^(n/2+2) for even n.
     """
-    blocks = _chain_blocks(n)
-    cur = blocks[0]
-    for label in blocks[1:]:
-        cur = label.compose_at(cur, 1)
-    return cur
+    if n > MAX_ARITY:  # before tree_eval recurses down a chain_tree of any depth
+        raise CapError(f"arity {n} exceeds the table cap {MAX_ARITY}")
+    return tree_eval(chain_tree(n))
 
 
 def chain_tree(n: int) -> Tree:

@@ -385,55 +385,48 @@ def reduce_decomposition(t: Tree) -> tuple[Tree, Isotopy]:
 
     Even-depth nodes end up respecting 01|23 and odd-depth nodes 02|13.  The
     returned isotopy theta satisfies tree_eval(t).isotope(theta) == the new
-    tree's value, per the edge-isotopy action on decompositions.
+    tree's value, per the edge-isotopy action on decompositions.  One top-down
+    pass sets each node's edge permutations from its side and moves its label.
     """
-    struct = _Structure(t)
+    n = validate_tree(t)
     if not is_proper(t):
         raise ValueError("reduce_decomposition needs a proper tree")
+    leaves: dict[int, Perm] = {}  # variable -> the permutation on its leaf edge; x_0 is 0
 
-    label = struct.infos[0].label
-    if lone_linear := len(struct.infos) == 1 and semilinear_profile(label).is_linear:
+    def leaf(var: int, label: Quasigroup, slot: int, here: PairPartition) -> Perm:
+        a = _slot_partner(label, slot, here)
+        leaves[var] = IDENTITY if a == here.partner else Perm.from_cycles((here.partner, a))
+        return leaves[var]
+
+    def down(node: Node, depth: int, above: Perm) -> Node:
+        """node moved by the permutations on its edges, `above` on its parent edge."""
+        here, theta = PairPartition(1 + depth % 2), [above]  # 01|23 at even depth, 02|13 at odd
+        for slot, child in enumerate(node.children, 1):
+            if isinstance(child, Leaf):
+                theta.append(leaf(child.var, node.label, slot, here))
+            else:  # the edge to a child is the child's slot 0
+                a = _slot_partner(node.label, slot, here)
+                b = _slot_partner(child.label, 0, PairPartition(2 - depth % 2))
+                a1, a2 = (a, b) if here.partner == 1 else (b, a)
+                theta.append(Perm([0, a1, a2, 6 - a1 - a2]))
+        label = _isotope(node.label, Isotopy(theta))
+        return Node(label, tuple(c if isinstance(c, Leaf) else down(c, depth + 1, p)
+                                 for c, p in zip(node.children, theta[1:])))
+
+    if all(isinstance(c, Leaf) for c in t.children) and semilinear_profile(t.label).is_linear:
         # A lone linear label goes straight to the xor table by the search's first
         # isotopy onto it: all six theta_0 at the anchor hit, and xor's zero sections
         # are the identity.  The slot permutations spread onto the leaf edges by variable.
-        theta0 = PERMS_FIXING[0][label(*(0,) * struct.arity)][0]
-        theta = [theta0] + [label.zero_section(i).inverse() * theta0 for i in range(1, struct.arity + 1)]
-        edge_perms = dict(zip(struct.infos[0].slots, theta))
+        theta0 = PERMS_FIXING[0][t.label(*(0,) * n)][0]
+        theta = [theta0] + [t.label.zero_section(i).inverse() * theta0 for i in range(1, n + 1)]
+        leaves.update(zip([0] + leaf_vars(t), theta))
+        reduced = Node(_isotope(t.label, Isotopy(theta)), t.children)
+        if not np.array_equal(reduced.label.table, functools.reduce(
+                np.bitwise_xor, np.ix_(*[np.arange(ORDER, dtype=np.uint8)] * n))):
+            raise AssertionError("a linear label did not normalize to the xor table")
     else:
-        targets = [PairPartition(1 if info.depth % 2 == 0 else 2) for info in struct.infos]
-        edge_perms: dict[EdgeKey, Perm] = {}
-        for u, info in enumerate(struct.infos):
-            for slot, key in enumerate(info.slots):
-                if key in edge_perms:  # a parent edge, set from the parent's side
-                    continue
-                a = _slot_partner(info.label, slot, targets[u])
-                kind, v = key
-                if kind == "leaf":
-                    edge_perms[key] = (
-                        IDENTITY if a == targets[u].partner
-                        else Perm.from_cycles((targets[u].partner, a)))
-                else:
-                    # the edge to child v is v's slot 0
-                    b = _slot_partner(struct.infos[v].label, 0, targets[v])
-                    a1, a2 = (a, b) if targets[u].partner == 1 else (b, a)
-                    edge_perms[key] = Perm([0, a1, a2, 6 - a1 - a2])
-
-    reduced = _apply_edge_isotopy(struct, edge_perms)
-    if lone_linear and not np.array_equal(reduced.label.table, functools.reduce(
-            np.bitwise_xor, np.ix_(*[np.arange(ORDER, dtype=np.uint8)] * struct.arity))):
-        raise AssertionError("a linear label did not normalize to the xor table")
-    return reduced, Isotopy(edge_perms[("leaf", j)] for j in range(struct.arity + 1))
-
-
-def _apply_edge_isotopy(struct: "_Structure", perms: dict[EdgeKey, Perm]) -> Tree:
-    """The tree with each label moved by the permutations on its edges, in preorder."""
-    def rebuild(u: int) -> Node:
-        info = struct.infos[u]
-        label = _isotope(info.label, _node_isotopy(info, perms))
-        return Node(label, tuple(Leaf(ref) if kind == "leaf" else rebuild(ref)
-                                 for kind, ref in info.slots[1:]))
-
-    return rebuild(0)
+        reduced = down(t, 0, leaf(0, t.label, 0, PairPartition(1)))
+    return reduced, Isotopy(leaves[j] for j in range(n + 1))
 
 
 # ---------------------------------------------------------------------------

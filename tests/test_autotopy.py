@@ -256,6 +256,14 @@ class TestJoin:
         with pytest.raises(ValueError):
             atp_join(bare, g, 2)
 
+    def test_join_above_the_table_cap_is_refused(self):
+        # 24^13 < 2^63 < 24^14: a joined arity of 13 would wrap the int64 keys
+        g = autotopy_group(chain(7), cap=7)
+        with pytest.raises(CapError):
+            atp_join(g, g, 7)
+        with pytest.raises(CapError):
+            autotopy._keys(np.array([[23] + [0] * 13], dtype=np.uint8))
+
 
 class TestGreedyGenerators:
     def test_deterministic_and_minimal_by_greedy(self):
@@ -293,9 +301,8 @@ class TestGreedyGenerators:
                          # the layer {id, x} is a subgroup, of order 2, not 3
                          [(IDENTITY, IDENTITY), (x, IDENTITY), (x, y)]):
             rows = np.array([[p.index for p in e] for e in elements], dtype=np.uint8)
-            rows = rows[np.argsort(autotopy._keys(rows))]
             with pytest.raises(AssertionError):
-                greedy_generators(autotopy._Elements(rows, autotopy._keys(rows)))
+                greedy_generators(autotopy._Elements(np.sort(autotopy._keys(rows)), rows.shape[1]))
 
     def test_keys_are_base_24_values(self):
         rng = np.random.default_rng(20)
@@ -304,13 +311,14 @@ class TestGreedyGenerators:
             rows[0], rows[1] = 23, 0
             want = [sum(int(d) * 24**c for c, d in enumerate(reversed(r))) for r in rows]
             assert autotopy._keys(rows).tolist() == want
+            assert np.array_equal(autotopy._rows(autotopy._keys(rows), arity + 1), rows)
 
     def test_coset_meeting_a_marked_target_is_caught(self):
         # H = the stabilizer and the search's first generator, with an orbit of
         # several targets; a target of r * H other than r(anchor) marked in
         # advance must stop the extension by r
         q = z4()
-        rows = autotopy._autotopies(q)[0]
+        rows = autotopy._autotopies(q)[0].rows
         targets = autotopy._targets(rows)
         stab = rows[targets == 0]
         gens = np.concatenate([stab[stab.any(axis=1)], rows[targets == 1][:1]])
@@ -486,10 +494,10 @@ class TestBatchedMatchesScalar:
     def test_check_blocks_over_leading_axes(self, monkeypatch):
         # a check block spanning fewer axes than the table walks the leading ones
         tables = [linear(4), random_semilinear_composition(5, 1800)]
-        expected = [autotopy._autotopies(q)[0] for q in tables]
+        expected = [autotopy._autotopies(q)[0].keys for q in tables]
         monkeypatch.setattr(autotopy, "CHECK_AXES", 2)
-        for q, rows in zip(tables, expected):
-            assert (autotopy._autotopies(q)[0] == rows).all()
+        for q, keys in zip(tables, expected):
+            assert (autotopy._autotopies(q)[0].keys == keys).all()
             moved = q.isotope(random_isotopy(q.arity, random.Random(1)))
             hit = autotopy._first_isotopy(q, moved)
             assert len(hit) == 1
@@ -502,11 +510,11 @@ class TestSectionPruning:
         # about a second a table, so those are left out
         tables = [q for q in oracle_tables() if q.arity <= 8]
         keeps = [autotopy._Candidates(q, q).matching() for q in tables]
-        pruned = [autotopy._autotopies(q)[0] for q in tables]
+        pruned = [autotopy._autotopies(q)[0].rows for q in tables]
         monkeypatch.setattr(autotopy._Candidates, "matching",
                             lambda self: np.ones(4**self.n, dtype=bool))
         for q, keep, rows in zip(tables, keeps, pruned):
-            reference = autotopy._autotopies(q)[0]
+            reference = autotopy._autotopies(q)[0].rows
             assert keep[autotopy._targets(reference)].all()
             assert np.array_equal(rows, reference)
 
@@ -677,3 +685,19 @@ class TestOrbitStabilizerSweep:
         assert held < 2**20
         assert is_transitive(q, cap=8)  # the orbit is still cached
         assert autotopy._sweep.cache_info().hits == 1
+
+    def test_the_group_is_held_as_its_keys(self):
+        # linear(8) has 393,216 autotopies: 3.1 MB of keys, 3.5 MB as rows
+        autotopy._sweep.cache_clear()
+        tracemalloc.start()
+        try:
+            g = autotopy_group(linear(8), cap=8)
+            search_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            gens = greedy_generators(g.elements)
+            greedy_added = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert gens == list(g.generators)
+        assert search_peak < 10 * 2**20 and greedy_added < 2**20

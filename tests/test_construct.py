@@ -5,6 +5,7 @@ import pytest
 
 from qg4 import (
     ArityError,
+    CapError,
     ConstructionTSpec,
     Isotopy,
     Perm,
@@ -29,6 +30,7 @@ from qg4 import (
     z4,
 )
 from qg4.construct import (
+    _chain_blocks,
     partition_stabilizer,
     random_semilinear_composition,
 )
@@ -114,6 +116,19 @@ class TestChain:
     def test_too_short(self):
         with pytest.raises(ArityError):
             chain(4)
+
+    def test_above_the_table_cap(self):
+        for n in (13, 3001):  # refused before a deep tree is evaluated
+            with pytest.raises(CapError):
+                chain(n)
+
+    def test_matches_the_block_by_block_composition(self):
+        for n in range(5, 12):
+            blocks = _chain_blocks(n)
+            q = blocks[0]
+            for label in blocks[1:]:
+                q = label.compose_at(q, 1)
+            assert chain(n) == q
 
     def test_tree_matches(self):
         for n in (5, 6, 7):

@@ -667,6 +667,55 @@ def path_reroot(t, var):
     return lifted(len(path))
 
 
+def structure_reduce(t):
+    """reduce_decomposition through the unrooted structure: every edge's
+    permutation set in a preorder walk of the nodes, then each label moved by
+    the permutations on its edges."""
+    struct = dec._Structure(t)
+    if not is_proper(t):
+        raise ValueError("reduce_decomposition needs a proper tree")
+    label = struct.infos[0].label
+    if lone_linear := len(struct.infos) == 1 and semilinear_profile(label).is_linear:
+        theta0 = core.PERMS_FIXING[0][label(*(0,) * struct.arity)][0]
+        theta = [theta0] + [label.zero_section(i).inverse() * theta0 for i in range(1, struct.arity + 1)]
+        edge_perms = dict(zip(struct.infos[0].slots, theta))
+    else:
+        targets = [dec.PairPartition(1 if info.depth % 2 == 0 else 2) for info in struct.infos]
+        edge_perms = {}
+        for u, info in enumerate(struct.infos):
+            for slot, key in enumerate(info.slots):
+                if key in edge_perms:  # a parent edge, set from the parent's side
+                    continue
+                a = dec._slot_partner(info.label, slot, targets[u])
+                kind, v = key
+                if kind == "leaf":
+                    edge_perms[key] = (core.IDENTITY if a == targets[u].partner
+                                       else Perm.from_cycles((targets[u].partner, a)))
+                else:  # the edge to child v is v's slot 0
+                    b = dec._slot_partner(struct.infos[v].label, 0, targets[v])
+                    a1, a2 = (a, b) if targets[u].partner == 1 else (b, a)
+                    edge_perms[key] = Perm([0, a1, a2, 6 - a1 - a2])
+
+    def rebuild(u):
+        info = struct.infos[u]
+        moved = dec._isotope(info.label, dec._node_isotopy(info, edge_perms))
+        return Node(moved, tuple(Leaf(ref) if kind == "leaf" else rebuild(ref)
+                                 for kind, ref in info.slots[1:]))
+
+    reduced = rebuild(0)
+    if lone_linear:
+        assert reduced.label == linear(struct.arity)
+    return reduced, Isotopy(edge_perms[("leaf", j)] for j in range(struct.arity + 1))
+
+
+def outcome(fn, t):
+    """fn(t), or the type and message of what it raised."""
+    try:
+        return fn(t)
+    except (ValueError, AssertionError) as err:
+        return type(err), str(err)
+
+
 @functools.lru_cache(maxsize=None)
 def rewrite_corpus():
     """Full trees of the oracle tables of arity at least 2, and of seeded
@@ -678,8 +727,8 @@ def rewrite_corpus():
 
 
 class TestRewriteReferences:
-    """The one-pass merge and re-root against the restarted search and the
-    root-to-leaf path they replace."""
+    """The one-pass merge, re-root and reduce against the restarted search, the
+    root-to-leaf path and the unrooted structure they replace."""
 
     def test_merge_matches_the_restarted_search(self):
         below_root = repeated = 0
@@ -712,6 +761,17 @@ class TestRewriteReferences:
             edges = sum(isinstance(child, Node)
                         for node, _path in iter_nodes(proper) for child in node.children)
             assert len(calls) == merges + edges
+
+    def test_reduce_matches_the_structure_route(self):
+        reduced = lone = 0
+        for t in rewrite_corpus():
+            proper = dec.merge_coherent(t)
+            for tree in (proper, reroot_to_leaf(proper, dec.leaf_vars(proper)[-1])):
+                if is_proper(tree):  # equal trees print equal bytes
+                    assert outcome(reduce_decomposition, tree) == outcome(structure_reduce, tree)
+                    reduced += 1
+                    lone += all(isinstance(child, Leaf) for child in tree.children)
+        assert reduced > lone > 0
 
     def test_edge_cases_are_kept(self):
         assert dec.merge_coherent(Leaf(3)) == Leaf(3)
