@@ -26,14 +26,14 @@ Klein-type (i, j)-sections along x_k in each (i, j, k)-cube.  A target outside
 H's final orbit was pruned or had all its candidates rejected, so orbit(H) =
 orbit(G) and the group is exact.  The same candidates and the same filter
 between two quasigroups, swept by the same block loop, decide isotopy at the
-first hit.  A group is held as its int64 keys, sorted once in place; greedy
-generators are read off them down the kernel chain of key order by binary
-search, with no second closure, and the group record is cached with the orbit.
+first hit.  H is held as a transversal of its orbit, one row per target, and
+the stabilizer; the group is the int64 keys of their products, sorted once in
+place.  Greedy generators are read off them down the kernel chain of key order
+by binary search, with no second closure; the record is cached with the orbit.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import logging
 from collections.abc import Sequence
@@ -101,6 +101,12 @@ class _Elements(Sequence):
     def __len__(self) -> int:
         return len(self.keys)
 
+    def __contains__(self, theta: Isotopy) -> bool:
+        if theta.arity + 1 != self.width:  # before _keys, which refuses a wider row
+            return False
+        key = _keys(_to_rows([theta]))[0]
+        return self.keys[min(np.searchsorted(self.keys, key), len(self) - 1)] == key
+
     def __getitem__(self, i):
         return self._items[i]
 
@@ -125,9 +131,7 @@ class AutotopyGroup:
     def __contains__(self, theta: Isotopy) -> bool:
         if self.elements is None:
             raise ValueError("group elements are not materialized")
-        # elements are sorted by Isotopy.key
-        i = bisect.bisect_left(self.elements, theta.key(), key=Isotopy.key)
-        return i < len(self.elements) and self.elements[i] == theta
+        return theta in self.elements
 
 
 @dataclass(frozen=True)
@@ -366,23 +370,23 @@ def _next_targets(open_: np.ndarray, start: int, size: int) -> np.ndarray:
 
 
 def _autotopies(q: Quasigroup) -> tuple[_Elements, np.ndarray]:
-    """The autotopies of q as sorted keys, and a bool mask of the anchor's orbit
-    over the flat index, by the orbit-stabilizer search."""
+    """The autotopies of q as sorted keys, and a bool mask of the anchor's orbit over
+    the flat index, by the orbit-stabilizer search; H is held as reps * stab."""
     cand, n = _Candidates(q, q), q.arity
     orbit = np.zeros(4**n, dtype=bool)  # H's orbit of the anchor: x is in H iff its target is
-    gens, known, pruned = np.empty((0, n + 1), dtype=np.uint8), None, 0
+    gens, reps, pruned = np.empty((0, n + 1), dtype=np.uint8), None, 0
     targets = np.r_[0, 4 ** np.arange(n)]  # the first block: the anchor and the unit targets
     start, size, pruning = 1, 1, False
     while len(targets):
         before = len(gens)
         for found in cand.sweep(targets):
-            if known is None:  # the hits at the anchor are the stabilizer, a group: H
-                known = found[_targets(found) == 0]
-                orbit[0], stab = True, len(known)
-                gens = known[known.any(axis=1)]
+            if reps is None:  # the hits at the anchor are the stabilizer, a group: H
+                stab = found[_targets(found) == 0]
+                orbit[0], reps = True, stab[:1]  # the identity, the first hit
+                gens = stab[stab.any(axis=1)]
             while len(found := found[~orbit[_targets(found)]]):  # the first hit outside H
                 gens = np.concatenate([gens, found[:1]])
-                known = _extend(known, gens, orbit, cand.open)
+                reps = _extend(reps, gens, orbit, cand.open)
         size = 1 if len(gens) > before or targets[0] == 0 else min(2 * size, TARGET_BLOCK)
         if not pruning and targets[0] and len(gens) == before:
             # Only now are the section classes worth computing: a transitive
@@ -396,10 +400,12 @@ def _autotopies(q: Quasigroup) -> tuple[_Elements, np.ndarray]:
     _log.debug("sweep: arity %d, %d candidates, %d targets pruned, %d probe survivors, "
                "%d skipped in the orbit, %d full-table checks, %d hits, %d generators, order %d",
                n, 6 * 4**n, pruned, 6 * 4**n - 6 * pruned - cand.rejected, skipped, cand.checks,
-               cand.hits, len(gens), len(known))
-    if orbit.sum() * stab != len(known):
+               cand.hits, len(gens), len(reps) * len(stab))
+    if orbit.sum() != len(reps):
         raise AssertionError("the order is not |orbit| * |stabilizer|")
-    keys = _keys(known)
+    keys = np.empty(len(stab) * len(reps), dtype=np.int64)  # H = reps * stab, keyed in place
+    for s, out in zip(stab, keys.reshape(len(stab), -1)):
+        out[:] = _keys(_MUL_A[reps, s])
     keys.sort()
     return _Elements(keys, n + 1), orbit
 
@@ -534,30 +540,30 @@ def _isotopies(rows: np.ndarray) -> list[Isotopy]:
     return [Isotopy(map(PERMS.__getitem__, r)) for r in rows.tolist()]
 
 
-def _extend(known: np.ndarray, gens: np.ndarray, orbit: np.ndarray,
+def _extend(reps: np.ndarray, gens: np.ndarray, orbit: np.ndarray,
             open_: np.ndarray) -> np.ndarray:
-    """The rows of the group generated by `known`, a group H generated by
-    gens[:-1] that holds the anchor's stabilizer, and gens[-1]: `known` first,
-    then the new rows, whose targets it marks in `orbit`, H's orbit of the
-    anchor, and clears in `open_`.  The new elements fill left cosets r * H; a
-    BFS over the representatives r, from gens[-1] by left multiplication by
-    gens, reaches every coset (in a finite group positive words suffice).  As
-    H holds the stabilizer, x lies in r * H iff x(anchor) lies in r(orbit_H):
-    if x(a) = r h(a), then (r h)^-1 x fixes a.  So distinct left cosets have
-    disjoint targets, a product lies in a known coset iff its target is
-    marked, and a new coset meeting a marked target means H lacked part of the
-    stabilizer."""
-    grown, todo = [known], gens[-1:]
+    """One row per anchor target of the group generated by gens: `reps` first, one
+    row per target in H's orbit, where H, generated by gens[:-1], holds the
+    anchor's stabilizer S, so H = reps * S; then the new rows, whose targets it
+    marks in `orbit`, H's orbit of the anchor, and clears in `open_`.  The new
+    elements fill left cosets r * H; a BFS over the representatives r, from
+    gens[-1] by left multiplication by gens, reaches every coset (in a finite
+    group positive words suffice).  As H holds S, x lies in r * H iff x(anchor)
+    lies in r(orbit_H): if x(a) = r h(a), then (r h)^-1 x fixes a.  So distinct
+    left cosets have disjoint targets, r * reps meets each target of r * H once,
+    a product lies in a known coset iff its target is marked, and a new coset
+    meeting a marked target means H lacked part of S."""
+    grown, todo = [reps], gens[-1:]
     while len(todo):
-        reps = []
+        new = []
         while len(todo := todo[~orbit[_targets(todo)]]):  # the first product in a new coset
-            reps.append(todo[0])
-            grown.append(_MUL_A[todo[0], known])
+            new.append(todo[0])
+            grown.append(_MUL_A[todo[0], reps])
             at = _targets(grown[-1])
             if orbit[at].any():
                 raise AssertionError("a new coset meets a marked target")
             orbit[at], open_[at] = True, False
-        todo = _MUL_A[gens, np.array(reps)[:, None, :]].reshape(-1, gens.shape[1]) if reps else []
+        todo = _MUL_A[gens, np.array(new)[:, None, :]].reshape(-1, gens.shape[1]) if new else []
     return np.concatenate(grown)
 
 

@@ -315,8 +315,8 @@ class TestGreedyGenerators:
 
     def test_coset_meeting_a_marked_target_is_caught(self):
         # H = the stabilizer and the search's first generator, with an orbit of
-        # several targets; a target of r * H other than r(anchor) marked in
-        # advance must stop the extension by r
+        # several targets, held as one row per target; a target of r * H other
+        # than r(anchor) marked in advance must stop the extension by r
         q = z4()
         rows = autotopy._autotopies(q)[0].rows
         targets = autotopy._targets(rows)
@@ -324,8 +324,8 @@ class TestGreedyGenerators:
         gens = np.concatenate([stab[stab.any(axis=1)], rows[targets == 1][:1]])
         orbit, open_ = np.zeros(4**q.arity, dtype=bool), np.ones(4**q.arity, dtype=bool)
         orbit[0] = True
-        h = autotopy._extend(stab, gens, orbit, open_)
-        assert orbit.sum() >= 2 and len(h) == orbit.sum() * len(stab)
+        h = autotopy._extend(stab[:1], gens, orbit, open_)
+        assert orbit.sum() >= 2 and len(h) == orbit.sum()
         r = rows[~orbit[targets]][:1]
         coset = autotopy._targets(autotopy._MUL_A[r[0], h])
         orbit[coset[coset != autotopy._targets(r)[0]][0]] = True
@@ -369,6 +369,27 @@ class TestContains:
         g = autotopy_group(z4())
         with pytest.raises(ValueError):
             Isotopy.identity(2) in AutotopyGroup(g.order, g.generators, None)
+
+    def test_membership_reads_the_keys(self):
+        # linear(7) has 98,304 autotopies; the first membership test decodes
+        # none of them, and one too wide to key is not a member
+        q = linear(7)
+        autotopy._sweep.cache_clear()
+        g = autotopy_group(q, cap=8)
+        tracemalloc.start()
+        try:
+            assert g.generators[-1] in g
+            added = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert added < 2**20
+        members = [a * b for a in g.generators for b in g.generators]
+        rng = random.Random(12)
+        outside = [t for t in (random_isotopy(7, rng) for _ in range(100)) if not is_autotopy(q, t)]
+        assert all(is_autotopy(q, t) for t in members) and len(outside) > 90
+        assert all(t in g for t in members) and not any(t in g for t in outside)
+        assert Isotopy.identity(7) in g
+        assert not any(Isotopy.identity(k) in g for k in (1, 6, 8, 14))
 
 
 # ---------------------------------------------------------------------------
@@ -625,11 +646,12 @@ class TestSearchLog:
 class TestOrbitStabilizerSweep:
     def test_cached_orbit_and_stabilizer_against_independent_routes(self, caplog, monkeypatch):
         # the orbit recomputed from every row, the stabilizer by scalar
-        # propagation; one key pass per group and none in is_transitive
-        counts = {"_keys": 0, "_targets": 0}
+        # propagation; every element keyed exactly once, and no _targets call
+        # in is_transitive
+        counts = {"_keys": 0, "_targets": 0}  # rows keyed; calls
         for name in counts:
             def counted(rows, name=name, fn=getattr(autotopy, name)):
-                counts[name] += 1
+                counts[name] += len(rows) if name == "_keys" else 1
                 return fn(rows)
             monkeypatch.setattr(autotopy, name, counted)
         for q in oracle_tables():
@@ -643,7 +665,7 @@ class TestOrbitStabilizerSweep:
             (record,) = [r for r in caplog.records if r.name == "qg4"]
             _, _, _, survivors, skipped, checks, hits, generators, _ = record.args
             assert survivors == checks + skipped and checks >= hits >= generators
-            assert counts["_keys"] == keys_before + 1
+            assert counts["_keys"] == keys_before + g.order
             record, orbit = autotopy._sweep(q)
             rows, keys = record.elements.rows, record.elements.keys
             targets = _ZERO_IMG[rows[:, 1:]] @ 4 ** np.arange(n - 1, -1, -1)
@@ -701,3 +723,26 @@ class TestOrbitStabilizerSweep:
             tracemalloc.stop()
         assert gens == list(g.generators)
         assert search_peak < 10 * 2**20 and greedy_added < 2**20
+
+    def test_the_search_holds_no_row_per_element(self):
+        # linear(9) has 1,572,864 autotopies, 12 MiB of keys: H is held as one
+        # row per orbit target and the stabilizer, so the keys set the peak
+        autotopy._sweep.cache_clear()
+        tracemalloc.start()
+        try:
+            g = autotopy_group(linear(9), cap=9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.order == 6 * 4**9 and peak < 2 * 8 * g.order
+
+    def test_keys_match_the_closure_of_the_generators(self):
+        # the keys filled from reps * stab against a set closure of the
+        # generators, on every group of at most 4,096 elements up to arity 8
+        checked = 0
+        for q in oracle_tables():
+            if q.arity <= 8 and (g := autotopy_group(q, cap=8)).order <= 4096:
+                closed = autotopy._to_rows(close_isotopies(g.generators))
+                assert np.array_equal(g.elements.keys, np.sort(autotopy._keys(closed)))
+                checked += 1
+        assert checked > 800
