@@ -80,6 +80,7 @@ from .construct import (
     h3,
     linear,
     random_semilinear_composition,
+    semilinear_from_boolean,
     shifted_linear,
     xor2,
     z4,

@@ -30,6 +30,12 @@ first hit.  H is held as a transversal of its orbit, one row per target, and
 the stabilizer; the group is the int64 keys of their products, sorted once in
 place.  Greedy generators are read off them down the kernel chain of key order
 by binary search, with no second closure; the record is cached with the orbit.
+
+Linear tables and tables with exactly one semilinear assignment skip the
+search: their groups are known in closed form (|Atp| = 6 * 4^n, and
+2^(n+1) |V| for a Boolean function b up to isotopy, V the shifts along which
+b's derivative is affine), and `_closed_form` writes their keys and orbit
+directly.  Every other table is searched.
 """
 
 from __future__ import annotations
@@ -57,6 +63,7 @@ from .core import (
     Perm,
     Quasigroup,
 )
+from .semilinear import boolean_form, semilinear_profile, xor_isotopy
 
 DEFAULT_CAP = 6
 MATERIALIZE_LIMIT = 2**20
@@ -79,6 +86,12 @@ _PACKED = (_IMG << 2 * np.arange(ORDER, dtype=np.uint8)).sum(axis=1, dtype=np.ui
 _WEIGHTS = 4 ** np.arange(MAX_ARITY - 1, -1, -1, dtype=np.int32)  # flat-index weights
 # _INVOLUTION_QUOTIENT[24 * p + r]: p o r^-1 is an involution.
 _INVOLUTION_QUOTIENT = np.array([p.order() == 2 for p in PERMS])[_MUL_A[:, _INV_A]].ravel()
+# x -> 2(u ^ s) + (v ^ a u ^ t) for x = 2u + v, at 4s + 2a + t: the maps keeping 01|23.
+_D4 = np.array([Perm([2 * (x >> 1 ^ s) + (x & 1 ^ a & x >> 1 ^ t) for x in range(ORDER)]).index
+                for s in (0, 1) for a in (0, 1) for t in (0, 1)], dtype=np.uint8)
+# x -> alpha(x) ^ c at (alpha, c), alpha over the six linear maps of F_2^2: all of S_4.
+_AFFINE = np.array([[Perm([alpha(x) ^ c for x in range(ORDER)]).index for c in range(ORDER)]
+                    for alpha in PERMS_FIXING[0][0]], dtype=np.uint8)
 
 
 class _Elements(Sequence):
@@ -431,13 +444,82 @@ def _check_cap(q: Quasigroup, cap: int) -> None:
         raise CapError(f"arity {q.arity} exceeds the search cap {cap}; raise the cap to force")
 
 
+def _closed_form(q: Quasigroup) -> tuple[_Elements, np.ndarray] | None:
+    """The autotopies of q as sorted keys, and the anchor's orbit mask, without the
+    search when q is linear or has one semilinear assignment; else None.  An
+    autotopy phi of q.isotope(theta) is theta phi theta^-1 of q, slot by slot.
+
+    Linear: q.isotope(theta) is the xor table for theta = xor_isotopy(q), and
+    (alpha(x) ^ c_j)_j is an autotopy of the xor for each alpha in GL(2, 2) and
+    c_0 = c_1 ^ ... ^ c_n.  These are 6 * 4^n, the most any table has (six
+    candidates per target), so they are all of them, and the orbit is everything.
+
+    One assignment (P_0, ..., P_n): an autotopy maps q's profile onto itself, so it
+    keeps each P_j, and in q.isotope(theta) = 2(+u_i + c) + (+v_i + b(u)), theta
+    and b from boolean_form(q) and + the xor, each of its maps is x -> 2(u + s_j) +
+    (v + a_j u + t_j).  The high bits give s_0 = +s_i, the low bits
+    D_s b(u) = +(a_i + a_0) u_i + (a_0 c + t_0 + +t_i).  So s ranges over V, a_0 and
+    t_1, ..., t_n are free, a_i = a_0 + slope_i and t_0 = offset + a_0 c + +t_i: 2^(n+1) |V|
+    autotopies, whose targets theta(2s + t) are the 2^n points over each s in V."""
+    n, assignments = q.arity, semilinear_profile(q).assignments
+    if len(assignments) == 3:
+        terms = _conjugated(xor_isotopy(q), _AFFINE.ravel()).reshape(n + 1, 6, ORDER)
+        keys = _keys_over(terms[0], terms[1:], ORDER)
+        orbit = np.ones(4**n, dtype=bool)
+        _log.debug("linear: arity %d, order %d", n, len(keys))
+    elif len(assignments) == 1:
+        form = boolean_form(q)
+        terms = _conjugated(form.theta, _D4)
+        s, slope = (x[:, None] >> np.arange(n - 1, -1, -1) & 1 for x in (form.shifts, form.slopes))
+        a0, t = np.arange(2)[:, None], np.arange(2)
+        first = terms[0, 4 * (np.bitwise_count(form.shifts)[:, None, None] & 1) + 2 * a0
+                      + (form.offsets[:, None, None] ^ a0 & form.c ^ t)]  # (|V|, a_0, +t_i)
+        rest = terms[np.arange(1, n + 1)[:, None, None, None],
+                     4 * s.T[:, :, None, None] + 2 * (slope.T[:, :, None, None] ^ a0) + t]
+        keys = _keys_over(first.reshape(-1, 2), rest.reshape(n, -1, 2), 2)
+        mask = np.zeros(2**n, dtype=bool)
+        mask[form.shifts] = True
+        mask = mask.reshape((2,) * n)
+        for axis, perm in enumerate(form.theta.parts[1:]):  # the high bit of theta_j^-1(y)
+            mask = np.take(mask, _IMG[perm.inverse().index] >> 1, axis=axis)
+        orbit = mask.ravel()
+        _log.debug("boolean: arity %d, |V| %d, order %d", n, len(form.shifts), len(keys))
+    else:
+        return None
+    return _Elements(keys, n + 1), orbit
+
+
+def _conjugated(theta: Isotopy, maps: np.ndarray) -> np.ndarray:
+    """Slot j's key term of theta_j m theta_j^-1 for each map index m: (n + 1, len(maps))."""
+    th = np.array([p.index for p in theta], dtype=np.uint8)[:, None]
+    weights = 24 ** np.arange(len(th) - 1, -1, -1, dtype=np.int64)[:, None]
+    return _MUL_A[th, _MUL_A[maps, _INV_A[th]]] * weights
+
+
+def _keys_over(first: np.ndarray, rest: np.ndarray, radix: int) -> np.ndarray:
+    """Sorted keys first[h, x_1 ^ ... ^ x_n] + rest[0][h, x_1] + ... + rest[n-1][h, x_n]
+    over the rows h and the digits x_j below radix, filled in place by slot."""
+    n, heads = len(rest), len(first)
+    digits = np.arange(radix, dtype=np.uint8)
+    keys = np.empty((heads, radix**n), dtype=np.int64)
+    xor = functools.reduce(np.bitwise_xor, np.ix_(*[digits] * n)).ravel()
+    np.take(first, xor, axis=1, out=keys, mode="clip")  # "raise" would buffer a copy
+    for j, term in enumerate(rest):
+        view = keys.reshape(heads, radix**j, radix, -1)
+        view += term[:, None, :, None]
+    keys = keys.ravel()
+    keys.sort()
+    return keys
+
+
 @functools.lru_cache(maxsize=1)
 def _sweep(q: Quasigroup) -> tuple[AutotopyGroup, np.ndarray]:
     """The group record of q and the anchor's orbit as a read-only mask over
-    the flat index.  The cache holds one table: its readers (is_transitive,
-    zero_orbit) follow the search of the same table.  Above MATERIALIZE_LIMIT
-    the record keeps no elements, so no keys outlive the search."""
-    elements, orbit = _autotopies(q)
+    the flat index: in closed form when q is linear or has one semilinear
+    assignment, else by the search.  The cache holds one table: its readers
+    (is_transitive, zero_orbit) follow the group of the same table.  Above
+    MATERIALIZE_LIMIT the record keeps no elements, so no keys outlive it."""
+    elements, orbit = _closed_form(q) or _autotopies(q)
     for a in (elements.keys, orbit):
         a.setflags(write=False)
     return _group(elements), orbit
@@ -455,7 +537,8 @@ def _group(elements) -> AutotopyGroup:
 
 
 def autotopy_group(q: Quasigroup, *, cap: int = DEFAULT_CAP) -> AutotopyGroup:
-    """The exact autotopy group, by the orbit-stabilizer search over the 6 * 4^n candidates.
+    """The exact autotopy group: in closed form for linear tables and tables with one
+    semilinear assignment, else by the orbit-stabilizer search over the 6 * 4^n candidates.
 
     Generators come from a greedy lexicographic sieve and are reproducible.
     """

@@ -85,6 +85,26 @@ def shifted_linear(n: int) -> Quasigroup:
     return Quasigroup(table)
 
 
+def semilinear_from_boolean(b) -> Quasigroup:
+    """The table 2(u_1 ^ ... ^ u_n) + (v_1 ^ ... ^ v_n ^ b(u)) with x_i = 2u_i + v_i.
+
+    `b` lists the 2^n bits b(u), u_1 most significant.  The table is linear(n)
+    with its low bit flipped where b(u) = 1.  It is Latin for every b: changing
+    an argument's high bit changes the value's high bit, and changing only its
+    low bit changes only the value's low bit.  It respects 01|23 in every
+    coordinate."""
+    b = np.asarray(b, dtype=np.uint8)
+    n = len(b).bit_length() - 1
+    if n < 1 or len(b) != 2**n or b.max() > 1:
+        raise ValueError("b must list 2^n bits for some n >= 1")
+    if n > MAX_ARITY:
+        raise CapError(f"arity {n} exceeds the table cap {MAX_ARITY}")
+    flips = b.reshape((2,) * n)
+    for axis in range(n):  # b(u) on both cells 2u_i and 2u_i + 1 of each axis
+        flips = flips.repeat(2, axis=axis)
+    return Quasigroup(linear(n).table ^ flips, _trusted=True)
+
+
 def conjugate_uniform(q: Quasigroup, tau: Perm) -> Quasigroup:
     """Relabel all coordinates by the same permutation: tau^-1 f(tau x_1, ...)."""
     return q.isotope(Isotopy.uniform(tau, q.arity))

@@ -35,7 +35,6 @@ from .core import (
     FormatError,
     IDENTITY,
     PERMS,
-    PERMS_FIXING,
     Isotopy,
     Perm,
     Quasigroup,
@@ -50,6 +49,7 @@ from .semilinear import (
     _isotope,
     native_elements,
     semilinear_profile,
+    xor_isotopy,
 )
 
 SPLIT_POINTS = 64  # probe points per subset, at most (sampled beyond 4^3)
@@ -417,10 +417,9 @@ def reduce_decomposition(t: Tree) -> tuple[Tree, Isotopy]:
         # A lone linear label goes straight to the xor table by the search's first
         # isotopy onto it: all six theta_0 at the anchor hit, and xor's zero sections
         # are the identity.  The slot permutations spread onto the leaf edges by variable.
-        theta0 = PERMS_FIXING[0][t.label(*(0,) * n)][0]
-        theta = [theta0] + [t.label.zero_section(i).inverse() * theta0 for i in range(1, n + 1)]
+        theta = xor_isotopy(t.label)
         leaves.update(zip([0] + leaf_vars(t), theta))
-        reduced = Node(_isotope(t.label, Isotopy(theta)), t.children)
+        reduced = Node(_isotope(t.label, theta), t.children)
         if not np.array_equal(reduced.label.table, functools.reduce(
                 np.bitwise_xor, np.ix_(*[np.arange(ORDER, dtype=np.uint8)] * n))):
             raise AssertionError("a linear label did not normalize to the xor table")

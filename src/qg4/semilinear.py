@@ -16,6 +16,10 @@ such that B respects (P; c_y), and since B is onto, A respects (c_0; P; c_z).
 
 A profile is kept on its table's object (`Quasigroup._profile`) and freed with it.
 Threads need no lock: two that race to profile one table store equal values.
+
+A table with one assignment is a Boolean function up to isotopy (`boolean_form`),
+and a linear one is an isotope of the xor table (`xor_isotopy`): the autotopy
+module reads the group of either in closed form from these.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ArityError, Isotopy, Perm, Quasigroup, _lookup
-from .autotopy import is_autotopy
+from . import autotopy
+from .core import PERMS_FIXING, ArityError, Isotopy, Perm, Quasigroup, _lookup
 
 
 class PairPartition:
@@ -189,6 +193,67 @@ def is_linear(q: Quasigroup) -> bool:
     return semilinear_profile(q).is_linear
 
 
+@dataclass(frozen=True, eq=False)
+class BooleanForm:
+    """A table q with exactly one assignment (P_0, ..., P_n) as a Boolean function b.
+
+    theta_j fixes 0 and maps the pair {0, 1} onto P_j's pair of 0, so
+    q.isotope(theta) respects 01|23 in every coordinate.  With x_i = 2u_i + v_i
+    it reads 2(u_1 ^ ... ^ u_n ^ c) + (v_1 ^ ... ^ v_n ^ b(u)): its quotient by
+    01|23 is the xor up to the constant c, and for fixed u the low bits form an
+    n-ary quasigroup of order 2, the xor up to the constant b(u).
+
+    `shifts` is V = {s : D_s b affine}, a subspace, where D_s b(u) = b(u ^ s) ^ b(u)
+    = slopes[k] . u ^ offsets[k] for s = shifts[k].  A vector of bits is read as
+    an integer with coordinate 1 most significant, as b is indexed."""
+
+    theta: Isotopy
+    c: int
+    b: np.ndarray
+    shifts: np.ndarray
+    slopes: np.ndarray
+    offsets: np.ndarray
+
+
+def boolean_form(q: Quasigroup) -> BooleanForm | None:
+    """q's Boolean form, or None unless q's profile has exactly one assignment.
+
+    b(u) and c are read on the 2^n cells x = theta(2u), where v = 0, and V on
+    all 2^n derivatives of b, in blocks of at most 2^16 values: D_s b is affine
+    iff it equals D_s b(0) ^ lambda . u with lambda_i = D_s b(e_i) ^ D_s b(0)."""
+    assignments = semilinear_profile(q).assignments
+    if len(assignments) != 1:
+        return None
+    (assignment,) = assignments
+    n = q.arity
+    theta = Isotopy(Perm([0, p.partner, *p.high]) for p in assignment)
+    corner = q.table[np.ix_(*[np.array([0, p.high[0]]) for p in assignment[1:]])]
+    values = _lookup(theta[0].inverse().images, corner).ravel()
+    b, u = values & 1, np.arange(2**n)
+    units = 1 << np.arange(n - 1, -1, -1)  # e_1, ..., e_n
+    step, found = max(1, 2**16 >> n), []
+    for s in (u[k:k + step] for k in range(0, 2**n, step)):
+        d = b[s[:, None] ^ u] ^ b  # d[., u] = D_s b(u)
+        slopes = (d[:, units] ^ d[:, :1]) @ units
+        affine = (d == d[:, :1] ^ np.bitwise_count(slopes[:, None] & u) & 1).all(axis=1)
+        found.append((s[affine], slopes[affine], d[affine, 0]))
+    shifts, slopes, offsets = map(np.concatenate, zip(*found))
+    return BooleanForm(theta, int(values[0] >> 1), b, shifts, slopes, offsets)
+
+
+def xor_isotopy(q: Quasigroup) -> Isotopy:
+    """For a linear q, the theta with q.isotope(theta) the xor table x_1 ^ ... ^ x_n.
+
+    theta_0 is the first permutation mapping 0 to q(0, ..., 0), and theta_i =
+    z_i^-1 theta_0 for q's zero section z_i.  So q.isotope(theta) is 0 at the
+    anchor, its zero sections are the identity, and its profile, moved from q's,
+    has three assignments: each is then (P, ..., P), the zero sections forcing
+    the argument partitions.  Under 01|23 and 02|13 the blocks are the high and
+    the low bit, so both bits of the value are the xors of the arguments' bits."""
+    theta0 = PERMS_FIXING[0][q(*(0,) * q.arity)][0]
+    return Isotopy([theta0] + [q.zero_section(i).inverse() * theta0 for i in range(1, q.arity + 1)])
+
+
 @dataclass(frozen=True)
 class NativeElements:
     """The distinguished permutations of a {0,a}-semilinear nonlinear quasigroup."""
@@ -266,6 +331,6 @@ def canonical_semilinear_autotopies(q: Quasigroup) -> list[Isotopy]:
     else:
         out.append(Isotopy((t0a,) + (tbc,) * n))
     for theta in out:
-        if not is_autotopy(q, theta):
+        if not autotopy.is_autotopy(q, theta):
             raise AssertionError(f"canonical isotopy {theta} failed verification")
     return out

@@ -30,9 +30,15 @@ from qg4 import (
     zero_anchor,
     zero_orbit,
 )
-from qg4 import autotopy, cli, qg4_text
+from qg4 import autotopy, cli, qg4_text, semilinear
 from qg4.autotopy import _ZERO_IMG, AutotopyGroup, greedy_generators
-from qg4.construct import ConstructionTSpec, construction_t, random_semilinear_composition
+from qg4.construct import (
+    ConstructionTSpec,
+    construction_t,
+    random_semilinear_composition,
+    semilinear_from_boolean,
+)
+from qg4.semilinear import semilinear_profile
 from qg4.core import PERMS_FIXING
 
 from conftest import oracle_tables, random_isotopy
@@ -591,9 +597,11 @@ class TestCubeCounts:
 
 
 class TestSearchLog:
-    def test_one_debug_record_per_sweep(self, caplog):
+    def test_one_debug_record_per_sweep(self, caplog, monkeypatch):
         # a transitive group, which never computes section classes, and chain(5),
-        # whose small orbit they prune
+        # whose small orbit they prune; both semilinear, so searched with the
+        # closed form turned off
+        monkeypatch.setattr(autotopy, "_closed_form", lambda q: None)
         autotopy._sweep.cache_clear()
         for q, engaged in ((random_semilinear_composition(4, 1900), False), (chain(5), True)):
             caplog.clear()
@@ -613,10 +621,12 @@ class TestSearchLog:
             assert checks >= hits >= generators > 0
             assert f"{candidates} candidates, {pruned} targets pruned" in record.getMessage()
 
-    def test_orbit_targets_are_not_table_checked(self, caplog):
-        # a linear base (group order 6 * 4^5) and the arity-6 benchmark base (8,192)
+    def test_orbit_targets_are_not_table_checked(self, caplog, monkeypatch):
+        # a linear base (group order 6 * 4^5) and the arity-6 benchmark base (8,192),
+        # searched with the closed form turned off
         tables = [random_semilinear_composition(5, 103), random_semilinear_composition(5, 104),
                   random_semilinear_composition(6, 108)]
+        monkeypatch.setattr(autotopy, "_closed_form", lambda q: None)
         autotopy._sweep.cache_clear()
         with caplog.at_level(logging.DEBUG, logger="qg4"):
             orders = [autotopy_group(q).order for q in tables]
@@ -647,7 +657,8 @@ class TestOrbitStabilizerSweep:
     def test_cached_orbit_and_stabilizer_against_independent_routes(self, caplog, monkeypatch):
         # the orbit recomputed from every row, the stabilizer by scalar
         # propagation; every element keyed exactly once, and no _targets call
-        # in is_transitive
+        # in is_transitive; the closed form is turned off, so every table is searched
+        monkeypatch.setattr(autotopy, "_closed_form", lambda q: None)
         counts = {"_keys": 0, "_targets": 0}  # rows keyed; calls
         for name in counts:
             def counted(rows, name=name, fn=getattr(autotopy, name)):
@@ -736,6 +747,16 @@ class TestOrbitStabilizerSweep:
             tracemalloc.stop()
         assert g.order == 6 * 4**9 and peak < 2 * 8 * g.order
 
+    def test_the_sweep_holds_no_row_per_element(self):
+        # the same bound on the search itself, which linear tables now skip
+        tracemalloc.start()
+        try:
+            elements, _ = autotopy._autotopies(linear(9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(elements) == 6 * 4**9 and peak < 2 * 8 * len(elements)
+
     def test_keys_match_the_closure_of_the_generators(self):
         # the keys filled from reps * stab against a set closure of the
         # generators, on every group of at most 4,096 elements up to arity 8
@@ -746,3 +767,62 @@ class TestOrbitStabilizerSweep:
                 assert np.array_equal(g.elements.keys, np.sort(autotopy._keys(closed)))
                 checked += 1
         assert checked > 800
+
+
+def boolean_tables(rng):
+    """semilinear_from_boolean tables at n = 2..7 under random isotopies: for each n
+    a random b, a quadratic b (order 2 * 4^n) and a b whose V is a proper subspace."""
+    for n in range(2, 8):
+        u = np.arange(2**n)
+        bits = u[:, None] >> np.arange(n) & 1
+        random_b = [rng.getrandbits(1) for _ in range(2**n)]
+        quadratic = bits[:, 0] & bits[:, 1] ^ bits[:, -1]
+        partial = (bits[:, 0] & bits[:, 1] & bits[:, -1]) if n > 2 else random_b
+        for b in (random_b, quadratic, partial):
+            q = semilinear_from_boolean(b)
+            yield q.isotope(random_isotopy(n, rng))
+
+
+class TestClosedForm:
+    """Linear tables and tables with one semilinear assignment get their group in
+    closed form; the keys and the orbit must be the search's."""
+
+    def test_keys_and_orbit_equal_the_search(self):
+        rng = random.Random(2626)
+        tables = [q for q in oracle_tables() if len(semilinear_profile(q).assignments) in (1, 3)]
+        assert len(tables) == 732
+        tables += [linear(n).isotope(random_isotopy(n, rng)) for n in range(1, 10)]
+        tables += list(boolean_tables(rng))
+        for q in tables:
+            closed = autotopy._closed_form(q)
+            elements, orbit = autotopy._autotopies(q)
+            assert np.array_equal(closed[0].keys, elements.keys)
+            assert np.array_equal(closed[1], orbit)
+
+    def test_the_order_is_2_to_the_n_plus_1_times_v(self):
+        # |Atp| = 2^(n+1) |V| on one assignment, the orbit 2^n |V|
+        rng = random.Random(2627)
+        for q in boolean_tables(rng):
+            n, form = q.arity, semilinear.boolean_form(q)
+            g = autotopy_group(q, cap=7)
+            assert g.order == 2 ** (n + 1) * len(form.shifts) <= 2 * 4**n
+            assert len(zero_orbit(q, cap=7)) == 2**n * len(form.shifts)
+
+    def test_other_profiles_are_searched(self):
+        q = random_semilinear_composition(5, 101)  # a benchmark base, not semilinear
+        assert not semilinear_profile(q).assignments and autotopy._closed_form(q) is None
+
+    def test_one_debug_record_per_computation_on_each_route(self, caplog):
+        routes = {"linear": linear(4).isotope(random_isotopy(4, random.Random(1))),
+                  "boolean": shifted_linear(5),
+                  "sweep": random_semilinear_composition(5, 101)}
+        for method, q in routes.items():
+            autotopy._sweep.cache_clear()
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="qg4"):
+                order = autotopy_group(q).order
+                assert is_transitive(q) is not None and zero_orbit(q)  # cached: computed once
+            (record,) = [r for r in caplog.records if r.name == "qg4"]
+            assert record.levelno == logging.DEBUG
+            assert record.getMessage().startswith(f"{method}: arity {q.arity}, ")
+            assert record.args[0] == q.arity and record.args[-1] == order

@@ -33,8 +33,10 @@ from qg4.construct import (
     _chain_blocks,
     partition_stabilizer,
     random_semilinear_composition,
+    semilinear_from_boolean,
 )
-from qg4.semilinear import PairPartition
+from qg4.core import _latin_violation
+from qg4.semilinear import PARTITIONS, PairPartition
 from qg4 import are_isotopic
 
 
@@ -245,3 +247,28 @@ class TestRandomCompositions:
     def test_reproducible(self):
         assert (random_semilinear_composition(4, 5)
                 == random_semilinear_composition(4, 5))
+
+
+class TestSemilinearFromBoolean:
+    def test_latin_and_semilinear_for_random_b(self):
+        rng = random.Random(1414)
+        for n in range(1, 9):
+            for _ in range(3):
+                b = [rng.getrandbits(1) for _ in range(2**n)]
+                q = semilinear_from_boolean(b)
+                assert q.arity == n and _latin_violation(q.table) is None
+                assert (PARTITIONS[0],) * (n + 1) in semilinear_profile(q).assignments
+                for x in (tuple(rng.randrange(4) for _ in range(n)) for _ in range(20)):
+                    u = sum((xi >> 1) << (n - 1 - i) for i, xi in enumerate(x))
+                    high = sum(xi >> 1 for xi in x) % 2
+                    low = (sum(xi & 1 for xi in x) + b[u]) % 2
+                    assert q(*x) == 2 * high + low
+
+    def test_affine_b_is_linear(self):
+        for b in ([0, 0, 0, 0], [1, 0, 1, 0], [0, 1, 1, 0]):
+            assert semilinear_profile(semilinear_from_boolean(b)).is_linear
+
+    def test_bad_input(self):
+        for b in ([], [0], [0, 1, 0], [0, 2, 1, 0]):
+            with pytest.raises(ValueError):
+                semilinear_from_boolean(b)

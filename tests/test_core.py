@@ -273,6 +273,23 @@ class TestLatinOracle:
         broken = [k for k in lowest if k is not None]
         assert len(lowest) - len(broken) >= len(tables) and set(broken) == set(range(11))
 
+    def test_small_tables_match_the_per_axis_check(self):
+        # tables of at most 64 cells are read line by line as bytes: every unary
+        # table of symbols 0..3, and 60 squares and 20 cubes with each cell changed
+        # and with the mutants that keep the lines along the lower axes
+        rng = random.Random(16)
+        tables = [np.array(t, dtype=np.uint8) for t in itertools.product(range(4), repeat=4)]
+        for q in rng.sample(oracle_tables()[:576], 60) + [
+                q for q in oracle_tables() if q.arity == 3][:20]:
+            for cell in range(q.table.size):
+                flat = q.table.ravel().copy()
+                flat[cell] = (flat[cell] + rng.randrange(1, 4)) % 4
+                tables += [q.table, flat.reshape(q.table.shape)]
+            tables += list(self.mutants(q.table, rng))
+        verdicts = [_latin_violation(t) for t in tables]
+        assert verdicts == [reference_latin_violation(t) for t in tables]
+        assert {None, 0, 1, 2} <= set(verdicts)
+
     def test_adjacent_bytes_summing_past_15_repeat(self):
         # lines summing to 15 and 22: the minimum alone would pass them
         onehot = np.array([1, 2, 4, 8, 8, 8, 4, 2], dtype=np.uint8)
