@@ -472,7 +472,7 @@ def _closed_form(q: Quasigroup) -> tuple[_Elements, np.ndarray] | None:
         terms = _conjugated(form.theta, _D4)
         s, slope = (x[:, None] >> np.arange(n - 1, -1, -1) & 1 for x in (form.shifts, form.slopes))
         a0, t = np.arange(2)[:, None], np.arange(2)
-        first = terms[0, 4 * (np.bitwise_count(form.shifts)[:, None, None] & 1) + 2 * a0
+        first = terms[0, 4 * (s.sum(axis=1)[:, None, None] & 1) + 2 * a0
                       + (form.offsets[:, None, None] ^ a0 & form.c ^ t)]  # (|V|, a_0, +t_i)
         rest = terms[np.arange(1, n + 1)[:, None, None, None],
                      4 * s.T[:, :, None, None] + 2 * (slope.T[:, :, None, None] ^ a0) + t]

@@ -28,8 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autotopy
-from .core import PERMS_FIXING, ArityError, Isotopy, Perm, Quasigroup, _lookup
+from .core import MAX_ARITY, PERMS_FIXING, ArityError, Isotopy, Perm, Quasigroup, _lookup
+
+_PARITY = np.bitwise_xor.reduce(np.arange(2**MAX_ARITY)[:, None] >> np.arange(MAX_ARITY) & 1,
+                                axis=1).astype(np.uint8)  # _PARITY[u]: the xor of u's bits
 
 
 class PairPartition:
@@ -209,22 +211,18 @@ class BooleanForm:
 
     theta: Isotopy
     c: int
-    b: np.ndarray
     shifts: np.ndarray
     slopes: np.ndarray
     offsets: np.ndarray
 
 
-def boolean_form(q: Quasigroup) -> BooleanForm | None:
-    """q's Boolean form, or None unless q's profile has exactly one assignment.
+def boolean_form(q: Quasigroup) -> BooleanForm:
+    """q's Boolean form; q's profile must have exactly one assignment.
 
     b(u) and c are read on the 2^n cells x = theta(2u), where v = 0, and V on
     all 2^n derivatives of b, in blocks of at most 2^16 values: D_s b is affine
     iff it equals D_s b(0) ^ lambda . u with lambda_i = D_s b(e_i) ^ D_s b(0)."""
-    assignments = semilinear_profile(q).assignments
-    if len(assignments) != 1:
-        return None
-    (assignment,) = assignments
+    (assignment,) = semilinear_profile(q).assignments
     n = q.arity
     theta = Isotopy(Perm([0, p.partner, *p.high]) for p in assignment)
     corner = q.table[np.ix_(*[np.array([0, p.high[0]]) for p in assignment[1:]])]
@@ -235,10 +233,10 @@ def boolean_form(q: Quasigroup) -> BooleanForm | None:
     for s in (u[k:k + step] for k in range(0, 2**n, step)):
         d = b[s[:, None] ^ u] ^ b  # d[., u] = D_s b(u)
         slopes = (d[:, units] ^ d[:, :1]) @ units
-        affine = (d == d[:, :1] ^ np.bitwise_count(slopes[:, None] & u) & 1).all(axis=1)
+        affine = (d == d[:, :1] ^ _PARITY[slopes[:, None] & u]).all(axis=1)
         found.append((s[affine], slopes[affine], d[affine, 0]))
     shifts, slopes, offsets = map(np.concatenate, zip(*found))
-    return BooleanForm(theta, int(values[0] >> 1), b, shifts, slopes, offsets)
+    return BooleanForm(theta, int(values[0] >> 1), shifts, slopes, offsets)
 
 
 def xor_isotopy(q: Quasigroup) -> Isotopy:
@@ -330,7 +328,9 @@ def canonical_semilinear_autotopies(q: Quasigroup) -> list[Isotopy]:
         out.append(Isotopy((tbc,) * (n + 1)))
     else:
         out.append(Isotopy((t0a,) + (tbc,) * n))
+    from .autotopy import is_autotopy  # here: autotopy imports this module
+
     for theta in out:
-        if not autotopy.is_autotopy(q, theta):
+        if not is_autotopy(q, theta):
             raise AssertionError(f"canonical isotopy {theta} failed verification")
     return out

@@ -812,6 +812,15 @@ class TestClosedForm:
         q = random_semilinear_composition(5, 101)  # a benchmark base, not semilinear
         assert not semilinear_profile(q).assignments and autotopy._closed_form(q) is None
 
+    def test_needs_no_numpy_2_ufunc(self, monkeypatch):
+        # numpy 1.24 is supported, and np.bitwise_count arrived in numpy 2.0
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+        for q in [shifted_linear(5), *list(boolean_tables(random.Random(2628)))[:9]]:
+            closed = autotopy._closed_form(q)
+            elements, orbit = autotopy._autotopies(q)
+            assert np.array_equal(closed[0].keys, elements.keys)
+            assert np.array_equal(closed[1], orbit)
+
     def test_one_debug_record_per_computation_on_each_route(self, caplog):
         routes = {"linear": linear(4).isotope(random_isotopy(4, random.Random(1))),
                   "boolean": shifted_linear(5),

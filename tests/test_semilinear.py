@@ -1,6 +1,8 @@
 import itertools
+import os
 import pickle
 import random
+import subprocess
 import sys
 import threading
 from collections import Counter
@@ -407,3 +409,22 @@ class TestCanonicalAutotopies:
                 kinds["foreign"] += 1
         assert kinds == {"involutions": 4, "transpositions": 4,
                          "cycles": 12, "foreign": 12}
+
+
+class TestImportOrder:
+    def test_semilinear_and_autotopy_load_in_either_order(self):
+        # autotopy imports semilinear, so semilinear must not import autotopy as it
+        # loads; each order runs on a bare package, with qg4/__init__ not run
+        package = os.path.join(os.path.dirname(__file__), os.pardir, "src", "qg4")
+        code = ("import sys, types\n"
+                "for order in (('semilinear', 'autotopy'), ('autotopy', 'semilinear')):\n"
+                "    for name in [m for m in sys.modules if m.split('.')[0] == 'qg4']:\n"
+                "        del sys.modules[name]\n"
+                "    sys.modules['qg4'] = types.ModuleType('qg4')\n"
+                f"    sys.modules['qg4'].__path__ = [{package!r}]\n"
+                "    for name in order:\n"
+                "        __import__('qg4.' + name)\n"
+                "    assert sys.modules['qg4.autotopy'].boolean_form\n"
+                "print('ok')\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (out.returncode, out.stdout) == (0, "ok\n"), out.stderr
