@@ -31,15 +31,36 @@ the stabilizer; the group is the int64 keys of their products, sorted once in
 place.  Greedy generators are read off them down the kernel chain of key order
 by binary search, with no second closure; the record is cached with the orbit.
 
-Linear tables and tables with exactly one semilinear assignment skip the
-search: their groups are known in closed form (|Atp| = 6 * 4^n, and
-2^(n+1) |V| for a Boolean function b up to isotopy, V the shifts along which
-b's derivative is affine), and `_closed_form` writes their keys and orbit
-directly.  Every other table is searched.
+A group comes by the first of three routes that applies:
+- in closed form (`_closed_form`), for linear tables and tables with exactly
+  one semilinear assignment: |Atp| = 6 * 4^n, and 2^(n+1) |V| for a Boolean
+  function b up to isotopy, V the shifts along which b's derivative is affine;
+- as a join (`_split_join`), for a table that splits as
+  q = outer(inner(x_S), x_rest): the fiber product of the factors' groups,
+  each found by the same three routes;
+- by the search above, for every other table.
+
+The join is exact.  Let theta be an autotopy of q and
+sigma = outer(., theta_rest 0)^-1 theta_0 outer(., 0).  At x_rest = 0,
+outer(inner(theta_S a), theta_rest 0) = theta_0 outer(inner(a), 0), so
+inner(theta_S a) = sigma(inner(a)): (sigma, theta_S) lies in Atp(inner), and as
+inner is onto, (theta_0, sigma, theta_rest) lies in Atp(outer).  Conversely,
+pi in Atp(inner) and tau in Atp(outer) with pi_0 = tau_1 splice into the
+autotopy (tau_0; pi_1, ... on S; tau_2, ... on the rest) of q, and theta
+gives back its pair.  So Atp(q) is in bijection with {(pi, tau) : pi_0 = tau_1},
+and by induction over the splits a whole decomposition tree's join is exact.
+
+By Krotov and Potapov (SIAM J. Discrete Math. 23, 2009), every quasigroup of
+order 4 and arity at least 3 is semilinear or permutably reducible, and every
+one of arity 1 or 2 is semilinear.  A profile has one or three assignments,
+never two (see `semilinear_profile`), and the factors of a split are
+quasigroups again, so no Latin table reaches the search.  It stays as the
+independent route the tests check the other two against.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import logging
 from collections.abc import Sequence
@@ -72,6 +93,8 @@ PROBE_CELLS = 64
 CHECK_AXES = 8  # a full-table check block spans 4^8 = 2^16 cells of the trailing axes
 
 _log = logging.getLogger("qg4")
+# True while a join computes its factors' groups, which log no record of their own.
+_in_join = contextvars.ContextVar("qg4_autotopy_in_join", default=False)
 
 # The 24 permutations as arrays, indexed by Perm.index.
 _IMG = np.array([p.images for p in PERMS], dtype=np.uint8)
@@ -410,10 +433,10 @@ def _autotopies(q: Quasigroup) -> tuple[_Elements, np.ndarray]:
         if len(targets := _next_targets(cand.open, start, size)):
             start = int(targets[-1]) + 1
     skipped = cand.skipped + 6 * (4**n - cand.swept - pruned)  # the targets never swept lie in the orbit
-    _log.debug("sweep: arity %d, %d candidates, %d targets pruned, %d probe survivors, "
-               "%d skipped in the orbit, %d full-table checks, %d hits, %d generators, order %d",
-               n, 6 * 4**n, pruned, 6 * 4**n - 6 * pruned - cand.rejected, skipped, cand.checks,
-               cand.hits, len(gens), len(reps) * len(stab))
+    _debug("sweep: arity %d, %d candidates, %d targets pruned, %d probe survivors, "
+           "%d skipped in the orbit, %d full-table checks, %d hits, %d generators, order %d",
+           n, 6 * 4**n, pruned, 6 * 4**n - 6 * pruned - cand.rejected, skipped, cand.checks,
+           cand.hits, len(gens), len(reps) * len(stab))
     if orbit.sum() != len(reps):
         raise AssertionError("the order is not |orbit| * |stabilizer|")
     keys = np.empty(len(stab) * len(reps), dtype=np.int64)  # H = reps * stab, keyed in place
@@ -466,7 +489,7 @@ def _closed_form(q: Quasigroup) -> tuple[_Elements, np.ndarray] | None:
         terms = _conjugated(xor_isotopy(q), _AFFINE.ravel()).reshape(n + 1, 6, ORDER)
         keys = _keys_over(terms[0], terms[1:], ORDER)
         orbit = np.ones(4**n, dtype=bool)
-        _log.debug("linear: arity %d, order %d", n, len(keys))
+        _debug("linear: arity %d, order %d", n, len(keys))
     elif len(assignments) == 1:
         form = boolean_form(q)
         terms = _conjugated(form.theta, _D4)
@@ -483,7 +506,7 @@ def _closed_form(q: Quasigroup) -> tuple[_Elements, np.ndarray] | None:
         for axis, perm in enumerate(form.theta.parts[1:]):  # the high bit of theta_j^-1(y)
             mask = np.take(mask, _IMG[perm.inverse().index] >> 1, axis=axis)
         orbit = mask.ravel()
-        _log.debug("boolean: arity %d, |V| %d, order %d", n, len(form.shifts), len(keys))
+        _debug("boolean: arity %d, |V| %d, order %d", n, len(form.shifts), len(keys))
     else:
         return None
     return _Elements(keys, n + 1), orbit
@@ -512,14 +535,81 @@ def _keys_over(first: np.ndarray, rest: np.ndarray, radix: int) -> np.ndarray:
     return keys
 
 
+def _split_join(q: Quasigroup) -> tuple[_Elements, np.ndarray] | None:
+    """The autotopies of q as sorted keys, and the anchor's orbit mask, as the fiber
+    product of its split factors' groups when q splits (see the module docstring);
+    else None.  The factors' groups come by _elements_of and log no record."""
+    from .decompose import find_split  # decompose imports this module as it loads
+
+    if (split := find_split(q)) is None:
+        return None
+    subset, inner, outer = split
+    token = _in_join.set(True)
+    try:
+        (pi, _, pi_method), (tau, _, tau_method) = _elements_of(inner), _elements_of(outer)
+    finally:
+        _in_join.reset(token)
+    orbit = np.zeros(4**q.arity, dtype=bool)
+    keys = _fiber_product(pi.rows, tau.rows, subset, orbit)
+    _debug("join: arity %d, subset %s, inner %s order %d, outer %s order %d, order %d",
+           q.arity, subset, pi_method, len(pi), tau_method, len(tau), len(keys))
+    return _Elements(keys, q.arity + 1), orbit
+
+
+def _fiber_product(inner: np.ndarray, outer: np.ndarray, subset: Sequence[int],
+                   orbit: np.ndarray | None = None) -> np.ndarray:
+    """Sorted keys of the isotopies theta of outer(inner(x_subset), x_rest) spliced
+    from each inner row pi and each outer row tau with tau_1 = pi_0: theta_0 = tau_0,
+    theta_subset = pi_1, ..., theta_rest = tau_2, ....  A key and a target are sums
+    of a tau term and a pi term, so each value v of pi_0 fills one block of the
+    keys by an outer sum.  `orbit`, if given, gets every theta's target marked."""
+    n = inner.shape[1] + outer.shape[1] - 3
+    if n > MAX_ARITY:  # 24^13 < 2^63 < 24^14: a wider key would wrap
+        raise CapError(f"arity {n} exceeds the table cap {MAX_ARITY}")
+    at = np.asarray(subset)
+    rest = np.array([j for j in range(1, n + 1) if j not in subset], dtype=np.intp)
+    weights = 24 ** np.arange(n, -1, -1, dtype=np.int64)  # slot j's key weight
+    pi_keys = inner[:, 1:] @ weights[at]
+    tau_keys = outer[:, 0].astype(np.int64) * weights[0] + outer[:, 2:] @ weights[rest]
+    pi_at, tau_at = inner[:, 0], outer[:, 1]
+    counts = np.bincount(tau_at, minlength=24) * np.bincount(pi_at, minlength=24)
+    keys, start = np.empty(counts.sum(), dtype=np.int64), 0
+    for v in np.flatnonzero(counts):  # no np.unique or set op: they import numpy.ma
+        pi, tau = pi_at == v, tau_at == v
+        block = keys[start:start + counts[v]].reshape(-1, pi.sum())
+        np.add.outer(tau_keys[tau], pi_keys[pi], out=block)
+        start += counts[v]
+        if orbit is not None:
+            pi_targets = _ZERO_IMG[inner[pi, 1:]] @ _WEIGHTS[at - n - 1]
+            tau_targets = _ZERO_IMG[outer[tau, 2:]] @ _WEIGHTS[rest - n - 1]
+            orbit[np.add.outer(tau_targets, pi_targets)] = True
+    keys.sort()
+    return keys
+
+
+def _elements_of(q: Quasigroup) -> tuple[_Elements, np.ndarray, str]:
+    """The autotopies of q as sorted keys, the anchor's orbit mask and the name of
+    the route that found them: in closed form, else as a join, else by the search."""
+    if (found := _closed_form(q)) is not None:
+        return (*found, "linear" if semilinear_profile(q).is_linear else "boolean")
+    if (found := _split_join(q)) is not None:
+        return (*found, "join")
+    return (*_autotopies(q), "sweep")
+
+
+def _debug(msg: str, *args) -> None:
+    """A group computation's one DEBUG record; a join's factors log none."""
+    if not _in_join.get():
+        _log.debug(msg, *args)
+
+
 @functools.lru_cache(maxsize=1)
 def _sweep(q: Quasigroup) -> tuple[AutotopyGroup, np.ndarray]:
     """The group record of q and the anchor's orbit as a read-only mask over
-    the flat index: in closed form when q is linear or has one semilinear
-    assignment, else by the search.  The cache holds one table: its readers
+    the flat index, by _elements_of.  The cache holds one table: its readers
     (is_transitive, zero_orbit) follow the group of the same table.  Above
     MATERIALIZE_LIMIT the record keeps no elements, so no keys outlive it."""
-    elements, orbit = _closed_form(q) or _autotopies(q)
+    elements, orbit, _ = _elements_of(q)
     for a in (elements.keys, orbit):
         a.setflags(write=False)
     return _group(elements), orbit
@@ -538,7 +628,8 @@ def _group(elements) -> AutotopyGroup:
 
 def autotopy_group(q: Quasigroup, *, cap: int = DEFAULT_CAP) -> AutotopyGroup:
     """The exact autotopy group: in closed form for linear tables and tables with one
-    semilinear assignment, else by the orbit-stabilizer search over the 6 * 4^n candidates.
+    semilinear assignment, else as the join of a split's factors' groups, else by the
+    orbit-stabilizer search over the 6 * 4^n candidates.
 
     Generators come from a greedy lexicographic sieve and are reproducible.
     """
@@ -720,17 +811,17 @@ def atp_join(atp_inner: AutotopyGroup, atp_outer: AutotopyGroup, m: int) -> Auto
     """Autotopy group of outer(inner(x_1..x_m), x_{m+1}..x_n) from the factors.
 
     Pairs every inner element pi with every outer element tau whose slot-1
-    permutation equals pi's value permutation, splicing them into one isotopy.
-    Both inputs must be materialized.
+    permutation equals pi's value permutation, splicing them into one isotopy,
+    by the fiber product the join route uses.  Both inputs must be materialized.
     """
     if atp_inner.elements is None or atp_outer.elements is None:
         raise ValueError("atp_join needs materialized element lists")
-    if not atp_inner.elements or atp_inner.elements[0].arity != m:
+    if not atp_inner.elements or (inner := _rows_of(atp_inner.elements)).shape[1] != m + 1:
         raise ArityError(f"inner group must have arity {m}")
-    inner, outer = _to_rows(atp_inner.elements), _to_rows(atp_outer.elements)
-    joined = []
-    for v in range(len(PERMS)):
-        pi, tau = inner[inner[:, 0] == v], outer[outer[:, 1] == v]
-        pi, tau = np.repeat(pi, len(tau), axis=0), np.tile(tau, (len(pi), 1))
-        joined.append(np.concatenate([tau[:, :1], pi[:, 1:], tau[:, 2:]], axis=1))
-    return _group(np.concatenate(joined))
+    outer = _rows_of(atp_outer.elements)
+    keys = _fiber_product(inner, outer, range(1, m + 1))
+    return _group(_Elements(keys, inner.shape[1] + outer.shape[1] - 2))
+
+
+def _rows_of(elements) -> np.ndarray:
+    return elements.rows if isinstance(elements, _Elements) else _to_rows(elements)

@@ -321,9 +321,10 @@ def _gather(table: np.ndarray, perms: Sequence[Perm]) -> np.ndarray:
 
 class Quasigroup:
     """An n-ary quasigroup on {0,1,2,3} held as an immutable value table; `_profile`
-    keeps its semilinear profile, once scanned or derived, for the object's life."""
+    keeps its semilinear profile, once scanned or derived, and `_split` its split
+    verdict, once searched, for the object's life."""
 
-    __slots__ = ("table", "arity", "_hash", "_profile")
+    __slots__ = ("table", "arity", "_hash", "_profile", "_split")
 
     def __init__(self, table: np.ndarray, *, _trusted: bool = False):
         arr = np.asarray(table, dtype=np.uint8)
@@ -342,6 +343,7 @@ class Quasigroup:
         self.arity = arr.ndim
         self._hash = None  # on first use: most intermediate tables are never hashed
         self._profile = None  # set by the semilinear module
+        self._split = None  # set by the decompose module: () when q does not split
 
     # -- constructors -------------------------------------------------------
 
@@ -394,7 +396,7 @@ class Quasigroup:
         return self._hash
 
     def __reduce__(self):
-        # Rebuild on load: the hash of bytes is salted per process; no profile is kept.
+        # Rebuild on load: the hash of bytes is salted per process; no profile or split is kept.
         return (Quasigroup, (self.table,))
 
     def __repr__(self) -> str:

@@ -231,7 +231,13 @@ def find_split(q: Quasigroup, *, _missed=None):
     at once at a few fixed r, and only those where q(a, r) is a function of
     q(a, 0) get the full check, in lexicographic order.  `_missed`, if given,
     is called after each full check that fails.
+
+    The verdict is kept on q (`Quasigroup._split`), as a profile is: a later
+    call returns it, the same factor objects included, with no search and no
+    record.  Threads need no lock, as two that race store equal verdicts.
     """
+    if q._split is not None:
+        return q._split or None
     n, found, probed, survivors, checks = q.arity, None, 0, 0, 0
     for size in range(2, n):
         subsets, cells = _split_probe(n, size)
@@ -253,6 +259,7 @@ def find_split(q: Quasigroup, *, _missed=None):
             break
     _log.debug("split: arity %d, %d subsets probed, %d probe survivors, %d full checks, "
                "subset %s", n, probed, survivors, checks, found and found[0])
+    q._split = found or ()
     return found
 
 

@@ -142,6 +142,15 @@ def semilinear_profile(q: Quasigroup) -> SemilinearProfile:
     xor up to a constant; so the assignment survives iff the value's block is
     c ^ block_1(x_1) ^ ... ^ block_n(x_n) everywhere, c the block of f(0,...,0).
     The profile is kept on q: later calls return the same object.
+
+    A profile has 0, 1 or 3 assignments, never exactly 2.  The masks of any two
+    partitions xor to the third's.  Let q respect two assignments A and B; as
+    P_0 forces the rest, A_0 != B_0.  Xor their equations: the block of q(x) in
+    the third partition C_0 is c ^ (A_1 ^ B_1)(x_1) ^ ... ^ (A_n ^ B_n)(x_n),
+    the masks read at each x_i and c a constant.  If A_i = B_i at some i >= 1,
+    that block does not depend on x_i, but q is a bijection in x_i and meets
+    both blocks of C_0.  So A_i != B_i everywhere, each A_i ^ B_i is the mask
+    of the third partition C_i at x_i, and q respects (C_0, ..., C_n) too.
     """
     if q._profile is not None:
         return q._profile

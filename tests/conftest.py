@@ -1,12 +1,14 @@
 import functools
 import random
 
+import numpy as np
 import pytest
 
 from qg4 import (
     ConstructionTSpec,
     Isotopy,
     PERMS,
+    Quasigroup,
     all_binary_quasigroups,
     chain,
     construction_t,
@@ -82,3 +84,21 @@ def oracle_tables():
                 made.append(construction_t(ConstructionTSpec.random(arity, seed))[1])
             tables += made + [q.isotope(random_isotopy(arity, rng)) for q in made]
     return tuple(tables)
+
+
+@functools.lru_cache(maxsize=1)
+def latin_cubes():
+    """All 55,296 ternary quasigroups of order 4: layers a, b, c, 6 - a - b - c
+    along x_1 for pairwise cellwise-disjoint squares a, b, c."""
+    squares = np.array([q.table.ravel() for q in all_binary_quasigroups()])
+    disjoint = (squares[:, None] != squares[None, :]).all(axis=2)
+    stacks = []
+    for a in range(len(squares)):
+        near = np.flatnonzero(disjoint[a])
+        b, c = (near[k] for k in np.nonzero(disjoint[np.ix_(near, near)]))
+        stacks.append(np.stack([np.broadcast_to(squares[a], (len(b), 16)), squares[b],
+                                squares[c], 6 - squares[a] - squares[b] - squares[c]], axis=1))
+    cubes = np.concatenate(stacks).astype(np.uint8).reshape(-1, 4, 4, 4)
+    for axis in (1, 2, 3):  # every line a bijection; the forced layer included
+        assert (np.bitwise_or.reduce(1 << cubes, axis=axis) == 15).all()
+    return tuple(Quasigroup(c, _trusted=True) for c in cubes)

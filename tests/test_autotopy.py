@@ -1,5 +1,6 @@
 import io
 import logging
+import pickle
 import random
 import tracemalloc
 
@@ -32,6 +33,7 @@ from qg4 import (
 )
 from qg4 import autotopy, cli, qg4_text, semilinear
 from qg4.autotopy import _ZERO_IMG, AutotopyGroup, greedy_generators
+from qg4.decompose import find_split
 from qg4.construct import (
     ConstructionTSpec,
     construction_t,
@@ -41,7 +43,7 @@ from qg4.construct import (
 from qg4.semilinear import semilinear_profile
 from qg4.core import PERMS_FIXING
 
-from conftest import oracle_tables, random_isotopy
+from conftest import latin_cubes, oracle_tables, random_isotopy
 
 
 def P(*cycles):
@@ -600,8 +602,9 @@ class TestSearchLog:
     def test_one_debug_record_per_sweep(self, caplog, monkeypatch):
         # a transitive group, which never computes section classes, and chain(5),
         # whose small orbit they prune; both semilinear, so searched with the
-        # closed form turned off
+        # closed form and the join turned off
         monkeypatch.setattr(autotopy, "_closed_form", lambda q: None)
+        monkeypatch.setattr(autotopy, "_split_join", lambda q: None)
         autotopy._sweep.cache_clear()
         for q, engaged in ((random_semilinear_composition(4, 1900), False), (chain(5), True)):
             caplog.clear()
@@ -623,10 +626,11 @@ class TestSearchLog:
 
     def test_orbit_targets_are_not_table_checked(self, caplog, monkeypatch):
         # a linear base (group order 6 * 4^5) and the arity-6 benchmark base (8,192),
-        # searched with the closed form turned off
+        # searched with the closed form and the join turned off
         tables = [random_semilinear_composition(5, 103), random_semilinear_composition(5, 104),
                   random_semilinear_composition(6, 108)]
         monkeypatch.setattr(autotopy, "_closed_form", lambda q: None)
+        monkeypatch.setattr(autotopy, "_split_join", lambda q: None)
         autotopy._sweep.cache_clear()
         with caplog.at_level(logging.DEBUG, logger="qg4"):
             orders = [autotopy_group(q).order for q in tables]
@@ -657,8 +661,10 @@ class TestOrbitStabilizerSweep:
     def test_cached_orbit_and_stabilizer_against_independent_routes(self, caplog, monkeypatch):
         # the orbit recomputed from every row, the stabilizer by scalar
         # propagation; every element keyed exactly once, and no _targets call
-        # in is_transitive; the closed form is turned off, so every table is searched
+        # in is_transitive; the closed form and the join are turned off, so every
+        # table is searched
         monkeypatch.setattr(autotopy, "_closed_form", lambda q: None)
+        monkeypatch.setattr(autotopy, "_split_join", lambda q: None)
         counts = {"_keys": 0, "_targets": 0}  # rows keyed; calls
         for name in counts:
             def counted(rows, name=name, fn=getattr(autotopy, name)):
@@ -821,11 +827,18 @@ class TestClosedForm:
             assert np.array_equal(closed[0].keys, elements.keys)
             assert np.array_equal(closed[1], orbit)
 
-    def test_one_debug_record_per_computation_on_each_route(self, caplog):
+    def test_one_debug_record_per_computation_on_each_route(self, caplog, monkeypatch):
+        # the join's split is searched first, so the table's one record is the join's;
+        # every Latin table of arity 3 or more splits or has a closed form, so the
+        # sweep is reached with the join turned off
         routes = {"linear": linear(4).isotope(random_isotopy(4, random.Random(1))),
                   "boolean": shifted_linear(5),
+                  "join": random_semilinear_composition(5, 101),
                   "sweep": random_semilinear_composition(5, 101)}
+        assert find_split(routes["join"]) is not None
         for method, q in routes.items():
+            if method == "sweep":
+                monkeypatch.setattr(autotopy, "_split_join", lambda q: None)
             autotopy._sweep.cache_clear()
             caplog.clear()
             with caplog.at_level(logging.DEBUG, logger="qg4"):
@@ -835,3 +848,88 @@ class TestClosedForm:
             assert record.levelno == logging.DEBUG
             assert record.getMessage().startswith(f"{method}: arity {q.arity}, ")
             assert record.args[0] == q.arity and record.args[-1] == order
+
+
+class TestSplitJoin:
+    """A table with no closed form that splits gets its group as the fiber product of
+    its factors' groups; the keys, the orbit and the generators must be the search's."""
+
+    def check(self, q):
+        # autotopy_group at the table's arity as the cap; no closed form, and the
+        # split the join found is kept on q
+        autotopy._sweep.cache_clear()
+        g = autotopy_group(q, cap=q.arity)
+        orbit = autotopy._sweep(q)[1]
+        assert not semilinear_profile(q).assignments and q._split
+        elements, searched = autotopy._autotopies(q)
+        assert np.array_equal(g.elements.keys, elements.keys)
+        assert np.array_equal(orbit, searched)
+        assert list(g.generators) == greedy_generators(elements)
+
+    def test_equals_the_search_on_the_oracle(self):
+        tables = [q for q in oracle_tables() if not semilinear_profile(q).assignments]
+        assert len(tables) == 123 and {q.arity for q in tables} == set(range(3, 10))
+        for q in tables:
+            self.check(q)
+
+    def test_equals_the_search_on_cubes_without_an_assignment(self):
+        sample = random.Random(2727).sample(latin_cubes(), 700)
+        cubes = [q for q in sample if not semilinear_profile(q).assignments]
+        assert len(cubes) > 150
+        for q in cubes:
+            self.check(q)
+
+    def test_equals_the_search_at_arity_10_and_11(self):
+        for q in (chain(10), construction_t(ConstructionTSpec.random(11, 1))[1]):
+            self.check(q)
+
+    def test_one_join_record_after_the_split_records(self, caplog):
+        # chain(7)'s outer factor is a join in turn: each split searched logs its
+        # split: record, and the group logs one record, the top join's
+        q = chain(7)
+        autotopy._sweep.cache_clear()
+        with caplog.at_level(logging.DEBUG, logger="qg4"):
+            order = autotopy_group(q, cap=7).order
+        records = [r for r in caplog.records if r.name == "qg4"]
+        splits = [r for r in records if r.getMessage().startswith("split: ")]
+        (record,) = [r for r in records if r not in splits]
+        assert record.getMessage() == ("join: arity 7, subset (1, 2, 3), inner boolean "
+                                       f"order 16, outer join order 16, order {order}")
+        assert [r.args[0] for r in splits] == [7, 5] and splits[0].args[-1] == (1, 2, 3)
+
+    def test_the_decomposition_reuses_the_kept_split(self, caplog, tmp_path):
+        # analyze computes the group first: its join keeps the split on the table,
+        # and the decomposition that follows reads it, with the same factor objects
+        q = random_semilinear_composition(5, 101)
+        autotopy._sweep.cache_clear()  # the cache answers for an equal table without a join
+        autotopy_group(q)
+        subset, inner, outer = q._split
+        with caplog.at_level(logging.DEBUG, logger="qg4"):
+            assert find_split(q)[1] is inner and find_split(q)[2] is outer
+        assert not caplog.records
+        path = tmp_path / "q.qg4"
+        path.write_text(qg4_text(q))
+        autotopy._sweep.cache_clear()
+        with caplog.at_level(logging.DEBUG, logger="qg4"):
+            assert cli.run(["analyze", str(path), "--json"], out=io.StringIO()) == 0
+        arities = [r.args[0] for r in caplog.records if r.getMessage().startswith("split: ")]
+        assert arities.count(5) == 1
+
+    def test_a_pickled_table_loads_without_its_split(self):
+        q = random_semilinear_composition(5, 101)
+        assert find_split(q)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            loaded = pickle.loads(pickle.dumps(q, protocol))
+            assert loaded == q and loaded._split is None
+            assert find_split(loaded) == q._split
+
+    def test_atp_join_of_the_factor_groups_is_the_searched_group(self):
+        # both tables split at a leading subset, so atp_join's argument order is q's
+        for q in (chain(7), random_semilinear_composition(5, 101)):
+            subset, inner, outer = find_split(q)
+            assert subset == tuple(range(1, len(subset) + 1))
+            joined = atp_join(autotopy_group(inner, cap=7), autotopy_group(outer, cap=7),
+                              len(subset))
+            elements, _ = autotopy._autotopies(q)
+            assert np.array_equal(joined.elements.keys, elements.keys)
+            assert list(joined.generators) == greedy_generators(elements)

@@ -56,7 +56,7 @@ from qg4.decompose import (Leaf, Node, _is_lbullet3, _lbullet3_keys, _permute_ar
 from qg4.semilinear import PARTITIONS
 from qg4.construct import conjugate_uniform, random_semilinear_composition
 
-from conftest import acceptance_corpus, oracle_tables, random_isotopy
+from conftest import acceptance_corpus, latin_cubes, oracle_tables, random_isotopy
 
 P01, P02, P03 = PARTITIONS
 
@@ -527,24 +527,6 @@ class TestMinimality:
         report = minimality_conditions(t)
         assert not report.no_forks
         assert not report.satisfied
-
-
-@functools.lru_cache(maxsize=1)
-def latin_cubes():
-    """All 55,296 ternary quasigroups of order 4: layers a, b, c, 6 - a - b - c
-    along x_1 for pairwise cellwise-disjoint squares a, b, c."""
-    squares = np.array([q.table.ravel() for q in all_binary_quasigroups()])
-    disjoint = (squares[:, None] != squares[None, :]).all(axis=2)
-    stacks = []
-    for a in range(len(squares)):
-        near = np.flatnonzero(disjoint[a])
-        b, c = (near[k] for k in np.nonzero(disjoint[np.ix_(near, near)]))
-        stacks.append(np.stack([np.broadcast_to(squares[a], (len(b), 16)), squares[b],
-                                squares[c], 6 - squares[a] - squares[b] - squares[c]], axis=1))
-    cubes = np.concatenate(stacks).astype(np.uint8).reshape(-1, 4, 4, 4)
-    for axis in (1, 2, 3):  # every line a bijection; the forced layer included
-        assert (np.bitwise_or.reduce(1 << cubes, axis=axis) == 15).all()
-    return tuple(Quasigroup(c, _trusted=True) for c in cubes)
 
 
 @functools.lru_cache(maxsize=1)

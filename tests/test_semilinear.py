@@ -37,7 +37,7 @@ from qg4.construct import chain, random_semilinear_composition
 from qg4.decompose import (full_decomposition, iter_nodes, proper_decomposition,
                            reduce_decomposition)
 
-from conftest import acceptance_corpus, oracle_tables, random_isotopy
+from conftest import acceptance_corpus, latin_cubes, oracle_tables, random_isotopy
 
 P01, P02, P03 = PARTITIONS
 
@@ -411,20 +411,40 @@ class TestCanonicalAutotopies:
                          "cycles": 12, "foreign": 12}
 
 
+class TestAssignmentCount:
+    def test_no_profile_has_exactly_two_assignments(self):
+        # semilinear_profile's docstring proves that two assignments force a third
+        tables = [*all_binary_quasigroups(), *random.Random(4313).sample(latin_cubes(), 320),
+                  *oracle_tables()]
+        counts = Counter(len(semilinear_profile(q).assignments) for q in tables)
+        assert set(counts) == {0, 1, 3}, counts
+
+
+def load_in_either_order(first, second, check):
+    """Load qg4.first then qg4.second, and the reverse, each on a bare package with
+    qg4/__init__ not run, and assert `check` in each; fails unless both orders load."""
+    package = os.path.join(os.path.dirname(__file__), os.pardir, "src", "qg4")
+    code = ("import sys, types\n"
+            f"for order in (({first!r}, {second!r}), ({second!r}, {first!r})):\n"
+            "    for name in [m for m in sys.modules if m.split('.')[0] == 'qg4']:\n"
+            "        del sys.modules[name]\n"
+            "    sys.modules['qg4'] = types.ModuleType('qg4')\n"
+            f"    sys.modules['qg4'].__path__ = [{package!r}]\n"
+            "    for name in order:\n"
+            "        __import__('qg4.' + name)\n"
+            f"    assert {check}\n"
+            "print('ok')\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (out.returncode, out.stdout) == (0, "ok\n"), out.stderr
+
+
 class TestImportOrder:
     def test_semilinear_and_autotopy_load_in_either_order(self):
-        # autotopy imports semilinear, so semilinear must not import autotopy as it
-        # loads; each order runs on a bare package, with qg4/__init__ not run
-        package = os.path.join(os.path.dirname(__file__), os.pardir, "src", "qg4")
-        code = ("import sys, types\n"
-                "for order in (('semilinear', 'autotopy'), ('autotopy', 'semilinear')):\n"
-                "    for name in [m for m in sys.modules if m.split('.')[0] == 'qg4']:\n"
-                "        del sys.modules[name]\n"
-                "    sys.modules['qg4'] = types.ModuleType('qg4')\n"
-                f"    sys.modules['qg4'].__path__ = [{package!r}]\n"
-                "    for name in order:\n"
-                "        __import__('qg4.' + name)\n"
-                "    assert sys.modules['qg4.autotopy'].boolean_form\n"
-                "print('ok')\n")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert (out.returncode, out.stdout) == (0, "ok\n"), out.stderr
+        # autotopy imports semilinear, so semilinear must not import autotopy as it loads
+        load_in_either_order("semilinear", "autotopy", "sys.modules['qg4.autotopy'].boolean_form")
+
+    def test_autotopy_and_decompose_load_in_either_order(self):
+        # decompose imports autotopy, so autotopy imports find_split only inside its join
+        load_in_either_order("autotopy", "decompose",
+                             "sys.modules['qg4.decompose'].is_autotopy"
+                             " and sys.modules['qg4.autotopy']._split_join")
