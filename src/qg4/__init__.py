@@ -18,6 +18,7 @@ from .core import (
     PERMS,
     IDENTITY,
     Quasigroup,
+    is_autotopy,
     parse_table,
     qg4_text,
 )
@@ -28,7 +29,6 @@ from .autotopy import (
     atp_join,
     autotopy_group,
     close_isotopies,
-    is_autotopy,
     is_transitive,
     propagate,
     stabilizer,

@@ -1,6 +1,33 @@
-"""Exact autotopy groups by an orbit-stabilizer search over the code.
+"""Exact autotopy groups: in closed form, as a join of split factors, or by a search.
 
-A candidate (target code tuple, value permutation theta_0) forces at most one
+A group comes by the first of three routes that applies:
+- in closed form (`_closed_form`), for linear tables and tables with exactly
+  one semilinear assignment: |Atp| = 6 * 4^n, and 2^(n+1) |V| for a Boolean
+  function b up to isotopy, V the shifts along which b's derivative is affine;
+- as a join (`_split_join`), for a table that splits as
+  q = outer(inner(x_S), x_rest): the fiber product of the factors' groups,
+  each found by the same three routes;
+- by the orbit-stabilizer search over the code below, for every other table.
+
+The join is exact.  Let theta be an autotopy of q and
+sigma = outer(., theta_rest 0)^-1 theta_0 outer(., 0).  At x_rest = 0,
+outer(inner(theta_S a), theta_rest 0) = theta_0 outer(inner(a), 0), so
+inner(theta_S a) = sigma(inner(a)): (sigma, theta_S) lies in Atp(inner), and as
+inner is onto, (theta_0, sigma, theta_rest) lies in Atp(outer).  Conversely,
+pi in Atp(inner) and tau in Atp(outer) with pi_0 = tau_1 splice into the
+autotopy (tau_0; pi_1, ... on S; tau_2, ... on the rest) of q, and theta
+gives back its pair.  So Atp(q) is in bijection with {(pi, tau) : pi_0 = tau_1},
+and by induction over the splits a whole decomposition tree's join is exact.
+
+By Krotov and Potapov (SIAM J. Discrete Math. 23, 2009), every quasigroup of
+order 4 and arity at least 3 is semilinear or permutably reducible, and every
+one of arity 1 or 2 is semilinear.  A profile has one or three assignments,
+never two (see `semilinear_profile`), and the factors of a split are
+quasigroups again, so no Latin table reaches the search.  It stays as the
+engine of are_isotopic and as the independent route the tests check the other
+two against.
+
+The search.  A candidate (target code tuple, value permutation theta_0) forces at most one
 isotopy through the sections at the all-zero anchor and at the target.
 Candidates are uint8 rows of permutation indices, built for a block of targets
 by one index-arithmetic pass; a block too large for one full-table check
@@ -30,37 +57,10 @@ first hit.  H is held as a transversal of its orbit, one row per target, and
 the stabilizer; the group is the int64 keys of their products, sorted once in
 place.  Greedy generators are read off them down the kernel chain of key order
 by binary search, with no second closure; the record is cached with the orbit.
-
-A group comes by the first of three routes that applies:
-- in closed form (`_closed_form`), for linear tables and tables with exactly
-  one semilinear assignment: |Atp| = 6 * 4^n, and 2^(n+1) |V| for a Boolean
-  function b up to isotopy, V the shifts along which b's derivative is affine;
-- as a join (`_split_join`), for a table that splits as
-  q = outer(inner(x_S), x_rest): the fiber product of the factors' groups,
-  each found by the same three routes;
-- by the search above, for every other table.
-
-The join is exact.  Let theta be an autotopy of q and
-sigma = outer(., theta_rest 0)^-1 theta_0 outer(., 0).  At x_rest = 0,
-outer(inner(theta_S a), theta_rest 0) = theta_0 outer(inner(a), 0), so
-inner(theta_S a) = sigma(inner(a)): (sigma, theta_S) lies in Atp(inner), and as
-inner is onto, (theta_0, sigma, theta_rest) lies in Atp(outer).  Conversely,
-pi in Atp(inner) and tau in Atp(outer) with pi_0 = tau_1 splice into the
-autotopy (tau_0; pi_1, ... on S; tau_2, ... on the rest) of q, and theta
-gives back its pair.  So Atp(q) is in bijection with {(pi, tau) : pi_0 = tau_1},
-and by induction over the splits a whole decomposition tree's join is exact.
-
-By Krotov and Potapov (SIAM J. Discrete Math. 23, 2009), every quasigroup of
-order 4 and arity at least 3 is semilinear or permutably reducible, and every
-one of arity 1 or 2 is semilinear.  A profile has one or three assignments,
-never two (see `semilinear_profile`), and the factors of a split are
-quasigroups again, so no Latin table reaches the search.  It stays as the
-independent route the tests check the other two against.
 """
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import logging
 from collections.abc import Sequence
@@ -83,7 +83,9 @@ from .core import (
     Isotopy,
     Perm,
     Quasigroup,
+    is_autotopy,  # bound here too, as the library has always exported it
 )
+from .decompose import find_split
 from .semilinear import boolean_form, semilinear_profile, xor_isotopy
 
 DEFAULT_CAP = 6
@@ -93,8 +95,6 @@ PROBE_CELLS = 64
 CHECK_AXES = 8  # a full-table check block spans 4^8 = 2^16 cells of the trailing axes
 
 _log = logging.getLogger("qg4")
-# True while a join computes its factors' groups, which log no record of their own.
-_in_join = contextvars.ContextVar("qg4_autotopy_in_join", default=False)
 
 # The 24 permutations as arrays, indexed by Perm.index.
 _IMG = np.array([p.images for p in PERMS], dtype=np.uint8)
@@ -180,14 +180,6 @@ class StabilizerWitness:
     @property
     def size(self) -> int:
         return len(self.members)
-
-
-def is_autotopy(q: Quasigroup, theta: Isotopy) -> bool:
-    """True iff theta_0 f(x) = f(theta_1 x_1, ..., theta_n x_n) everywhere."""
-    if theta.arity != q.arity:
-        raise ArityError("isotopy arity does not match quasigroup arity")
-    values = q.table if theta[0].is_identity else _lookup(theta[0].images, q.table)
-    return np.array_equal(values, _gather(q.table, theta.parts[1:]))
 
 
 def zero_anchor(q: Quasigroup) -> tuple[int, ...]:
@@ -433,10 +425,10 @@ def _autotopies(q: Quasigroup) -> tuple[_Elements, np.ndarray]:
         if len(targets := _next_targets(cand.open, start, size)):
             start = int(targets[-1]) + 1
     skipped = cand.skipped + 6 * (4**n - cand.swept - pruned)  # the targets never swept lie in the orbit
-    _debug("sweep: arity %d, %d candidates, %d targets pruned, %d probe survivors, "
-           "%d skipped in the orbit, %d full-table checks, %d hits, %d generators, order %d",
-           n, 6 * 4**n, pruned, 6 * 4**n - 6 * pruned - cand.rejected, skipped, cand.checks,
-           cand.hits, len(gens), len(reps) * len(stab))
+    _log.debug("sweep: arity %d, %d candidates, %d targets pruned, %d probe survivors, "
+               "%d skipped in the orbit, %d full-table checks, %d hits, %d generators, order %d",
+               n, 6 * 4**n, pruned, 6 * 4**n - 6 * pruned - cand.rejected, skipped, cand.checks,
+               cand.hits, len(gens), len(reps) * len(stab))
     if orbit.sum() != len(reps):
         raise AssertionError("the order is not |orbit| * |stabilizer|")
     keys = np.empty(len(stab) * len(reps), dtype=np.int64)  # H = reps * stab, keyed in place
@@ -467,10 +459,11 @@ def _check_cap(q: Quasigroup, cap: int) -> None:
         raise CapError(f"arity {q.arity} exceeds the search cap {cap}; raise the cap to force")
 
 
-def _closed_form(q: Quasigroup) -> tuple[_Elements, np.ndarray] | None:
-    """The autotopies of q as sorted keys, and the anchor's orbit mask, without the
-    search when q is linear or has one semilinear assignment; else None.  An
-    autotopy phi of q.isotope(theta) is theta phi theta^-1 of q, slot by slot.
+def _closed_form(q: Quasigroup) -> tuple[_Elements, np.ndarray, tuple] | None:
+    """The autotopies of q as sorted keys, the anchor's orbit mask and their DEBUG
+    record, without the search when q is linear or has one semilinear assignment;
+    else None.  An autotopy phi of q.isotope(theta) is theta phi theta^-1 of q,
+    slot by slot.
 
     Linear: q.isotope(theta) is the xor table for theta = xor_isotopy(q), and
     (alpha(x) ^ c_j)_j is an autotopy of the xor for each alpha in GL(2, 2) and
@@ -489,7 +482,7 @@ def _closed_form(q: Quasigroup) -> tuple[_Elements, np.ndarray] | None:
         terms = _conjugated(xor_isotopy(q), _AFFINE.ravel()).reshape(n + 1, 6, ORDER)
         keys = _keys_over(terms[0], terms[1:], ORDER)
         orbit = np.ones(4**n, dtype=bool)
-        _debug("linear: arity %d, order %d", n, len(keys))
+        record = ("linear: arity %d, order %d", n, len(keys))
     elif len(assignments) == 1:
         form = boolean_form(q)
         terms = _conjugated(form.theta, _D4)
@@ -506,10 +499,10 @@ def _closed_form(q: Quasigroup) -> tuple[_Elements, np.ndarray] | None:
         for axis, perm in enumerate(form.theta.parts[1:]):  # the high bit of theta_j^-1(y)
             mask = np.take(mask, _IMG[perm.inverse().index] >> 1, axis=axis)
         orbit = mask.ravel()
-        _debug("boolean: arity %d, |V| %d, order %d", n, len(form.shifts), len(keys))
+        record = ("boolean: arity %d, |V| %d, order %d", n, len(form.shifts), len(keys))
     else:
         return None
-    return _Elements(keys, n + 1), orbit
+    return _Elements(keys, n + 1), orbit, record
 
 
 def _conjugated(theta: Isotopy, maps: np.ndarray) -> np.ndarray:
@@ -535,25 +528,20 @@ def _keys_over(first: np.ndarray, rest: np.ndarray, radix: int) -> np.ndarray:
     return keys
 
 
-def _split_join(q: Quasigroup) -> tuple[_Elements, np.ndarray] | None:
-    """The autotopies of q as sorted keys, and the anchor's orbit mask, as the fiber
-    product of its split factors' groups when q splits (see the module docstring);
-    else None.  The factors' groups come by _elements_of and log no record."""
-    from .decompose import find_split  # decompose imports this module as it loads
-
+def _split_join(q: Quasigroup) -> tuple[_Elements, np.ndarray, tuple] | None:
+    """The autotopies of q as sorted keys, the anchor's orbit mask and their DEBUG
+    record, as the fiber product of its split factors' groups when q splits (see the
+    module docstring); else None.  The factors' groups come by _elements_of, and the
+    record names the route of each from the factor's own record, which is not logged."""
     if (split := find_split(q)) is None:
         return None
     subset, inner, outer = split
-    token = _in_join.set(True)
-    try:
-        (pi, _, pi_method), (tau, _, tau_method) = _elements_of(inner), _elements_of(outer)
-    finally:
-        _in_join.reset(token)
+    (pi, _, pi_record), (tau, _, tau_record) = _elements_of(inner), _elements_of(outer)
     orbit = np.zeros(4**q.arity, dtype=bool)
     keys = _fiber_product(pi.rows, tau.rows, subset, orbit)
-    _debug("join: arity %d, subset %s, inner %s order %d, outer %s order %d, order %d",
-           q.arity, subset, pi_method, len(pi), tau_method, len(tau), len(keys))
-    return _Elements(keys, q.arity + 1), orbit
+    return _Elements(keys, q.arity + 1), orbit, (
+        "join: arity %d, subset %s, inner %s order %d, outer %s order %d, order %d",
+        q.arity, subset, _route(pi_record), len(pi), _route(tau_record), len(tau), len(keys))
 
 
 def _fiber_product(inner: np.ndarray, outer: np.ndarray, subset: Sequence[int],
@@ -587,20 +575,16 @@ def _fiber_product(inner: np.ndarray, outer: np.ndarray, subset: Sequence[int],
     return keys
 
 
-def _elements_of(q: Quasigroup) -> tuple[_Elements, np.ndarray, str]:
-    """The autotopies of q as sorted keys, the anchor's orbit mask and the name of
-    the route that found them: in closed form, else as a join, else by the search."""
-    if (found := _closed_form(q)) is not None:
-        return (*found, "linear" if semilinear_profile(q).is_linear else "boolean")
-    if (found := _split_join(q)) is not None:
-        return (*found, "join")
-    return (*_autotopies(q), "sweep")
+def _elements_of(q: Quasigroup) -> tuple[_Elements, np.ndarray, tuple | None]:
+    """The autotopies of q as sorted keys, the anchor's orbit mask and the DEBUG
+    record (format, *args) of the route that found them: in closed form, else as a
+    join, else by the search, which logs its own record and gives None."""
+    return _closed_form(q) or _split_join(q) or (*_autotopies(q), None)
 
 
-def _debug(msg: str, *args) -> None:
-    """A group computation's one DEBUG record; a join's factors log none."""
-    if not _in_join.get():
-        _log.debug(msg, *args)
+def _route(record: tuple | None) -> str:
+    """The name of the route a record of _elements_of comes from."""
+    return record[0].split(":")[0] if record else "sweep"
 
 
 @functools.lru_cache(maxsize=1)
@@ -609,21 +593,20 @@ def _sweep(q: Quasigroup) -> tuple[AutotopyGroup, np.ndarray]:
     the flat index, by _elements_of.  The cache holds one table: its readers
     (is_transitive, zero_orbit) follow the group of the same table.  Above
     MATERIALIZE_LIMIT the record keeps no elements, so no keys outlive it."""
-    elements, orbit, _ = _elements_of(q)
+    elements, orbit, record = _elements_of(q)
+    if record:
+        _log.debug(*record)
     for a in (elements.keys, orbit):
         a.setflags(write=False)
     return _group(elements), orbit
 
 
-def _group(elements) -> AutotopyGroup:
-    """Group record of the search's _Elements, or of raw rows, which greedy_generators
-    checks for closure and whose keys are sorted here: greedy generators, and the
-    elements in key order when the order is within MATERIALIZE_LIMIT."""
-    gens = tuple(greedy_generators(elements))
-    if not isinstance(elements, _Elements):
-        elements = _Elements(np.sort(_keys(elements)), elements.shape[1])
+def _group(elements: _Elements) -> AutotopyGroup:
+    """Group record of sorted keys: greedy generators, and the elements in key
+    order when the order is within MATERIALIZE_LIMIT."""
     keep = elements if len(elements) <= MATERIALIZE_LIMIT else None
-    return AutotopyGroup(order=len(elements), generators=gens, elements=keep)
+    return AutotopyGroup(order=len(elements), generators=tuple(greedy_generators(elements)),
+                         elements=keep)
 
 
 def autotopy_group(q: Quasigroup, *, cap: int = DEFAULT_CAP) -> AutotopyGroup:

@@ -285,7 +285,7 @@ def _cmd_enumerate(args, out) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-arity", type=int, default=atp.DEFAULT_CAP,
-                   help="brute-force arity cap (default %(default)s)")
+                   help="arity cap on autotopy groups and isotopy searches (default %(default)s)")
     p.add_argument("--threads", type=int, default=1,
                    help="accepted and ignored; the sweep is sequential")
 
@@ -349,8 +349,8 @@ def run(argv: list[str], out=None) -> int:
     try:
         args = _parser().parse_args(argv)
         if getattr(args, "max_arity", atp.DEFAULT_CAP) > atp.DEFAULT_CAP:
-            print(f"warning: arity cap raised to {args.max_arity}; "
-                  "the sweep grows as 16^n", file=sys.stderr)
+            print(f"warning: arity cap raised to {args.max_arity}; a group's keys grow up "
+                  "to 6 * 4^n, and isotopic sweeps up to 6 * 4^n candidates", file=sys.stderr)
         return args.func(args, out)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -473,6 +473,14 @@ class Quasigroup:
             raise ArityError(f"argument index {i} out of range 1..{self.arity}")
 
 
+def is_autotopy(q: Quasigroup, theta: Isotopy) -> bool:
+    """True iff theta_0 f(x) = f(theta_1 x_1, ..., theta_n x_n) everywhere."""
+    if theta.arity != q.arity:
+        raise ArityError("isotopy arity does not match quasigroup arity")
+    values = q.table if theta[0].is_identity else _lookup(theta[0].images, q.table)
+    return np.array_equal(values, _gather(q.table, theta.parts[1:]))
+
+
 # ---------------------------------------------------------------------------
 # qg4 file format
 # ---------------------------------------------------------------------------

@@ -41,8 +41,8 @@ from .core import (
     _lookup,
     _require_latin,
     _splitmix,
+    is_autotopy,
 )
-from .autotopy import is_autotopy
 from .semilinear import (
     PairPartition,
     _compose_at,
@@ -754,7 +754,7 @@ class MinimalityReport:
 def _lbullet3_keys() -> frozenset[bytes]:
     """The tables of shifted_linear(3) under all 24^3 argument isotopies, each
     relabelled so that f(0, 0, .) reads 0123: 864 distinct 64-byte keys."""
-    from .construct import shifted_linear
+    from .construct import shifted_linear  # here: construct imports this module as it loads
 
     perms = np.array([p.images for p in PERMS], dtype=np.intp)
     tables = shifted_linear(3).table[perms[:, None, None, :, None, None],

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_ARITY, PERMS_FIXING, ArityError, Isotopy, Perm, Quasigroup, _lookup
+from .core import MAX_ARITY, PERMS_FIXING, ArityError, Isotopy, Perm, Quasigroup, _lookup, is_autotopy
 
 _PARITY = np.bitwise_xor.reduce(np.arange(2**MAX_ARITY)[:, None] >> np.arange(MAX_ARITY) & 1,
                                 axis=1).astype(np.uint8)  # _PARITY[u]: the xor of u's bits
@@ -276,17 +276,19 @@ def native_elements(pair) -> NativeElements:
     """Native involution/transpositions/cycles for the pair {0, a}.
 
     The pair must contain 0 (the canonical representative of its partition).
-    Accepts a PairPartition, a partner symbol, or a pair of symbols.
+    Accepts a PairPartition, a partner symbol, or a pair of distinct symbols.
     """
     if isinstance(pair, PairPartition):
         a = pair.partner
+    elif isinstance(pair, bool):  # bool is an int
+        raise ValueError(f"not a symbol: {pair}")
     elif isinstance(pair, int):
         a = pair
     else:
         pair = tuple(pair)
-        if 0 not in pair:
-            raise ValueError("the canonical pair must contain 0")
-        a = next(x for x in pair if x != 0)
+        if len(pair) != 2 or 0 not in pair:
+            raise ValueError(f"the canonical pair must be two symbols, one of them 0: {pair}")
+        a = PairPartition.of_pair(*pair).partner
     if a not in (1, 2, 3):
         raise ValueError("the partner of 0 must be 1, 2 or 3")
     b, c = sorted(set(range(1, 4)) - {a})
@@ -337,8 +339,6 @@ def canonical_semilinear_autotopies(q: Quasigroup) -> list[Isotopy]:
         out.append(Isotopy((tbc,) * (n + 1)))
     else:
         out.append(Isotopy((t0a,) + (tbc,) * n))
-    from .autotopy import is_autotopy  # here: autotopy imports this module
-
     for theta in out:
         if not is_autotopy(q, theta):
             raise AssertionError(f"canonical isotopy {theta} failed verification")

@@ -347,6 +347,12 @@ class TestNativeElements:
         with pytest.raises(ValueError):
             native_elements((1, 3))
 
+    @pytest.mark.parametrize("pair", [(0, 0), (0, 1, 2), True])
+    def test_malformed_pair_rejected(self, pair):
+        # a repeated symbol, three symbols, and a bool, which is an int but no symbol
+        with pytest.raises(ValueError):
+            native_elements(pair)
+
 
 class TestCanonicalAutotopies:
     def test_z4_known_members(self):
@@ -440,11 +446,15 @@ def load_in_either_order(first, second, check):
 
 class TestImportOrder:
     def test_semilinear_and_autotopy_load_in_either_order(self):
-        # autotopy imports semilinear, so semilinear must not import autotopy as it loads
+        # autotopy imports semilinear, which takes is_autotopy from core
         load_in_either_order("semilinear", "autotopy", "sys.modules['qg4.autotopy'].boolean_form")
 
     def test_autotopy_and_decompose_load_in_either_order(self):
-        # decompose imports autotopy, so autotopy imports find_split only inside its join
+        # autotopy imports find_split from decompose, which takes is_autotopy from core
         load_in_either_order("autotopy", "decompose",
                              "sys.modules['qg4.decompose'].is_autotopy"
                              " and sys.modules['qg4.autotopy']._split_join")
+
+    def test_semilinear_and_decompose_load_without_autotopy(self):
+        # the module graph runs core <- semilinear <- decompose <- autotopy, with no cycle
+        load_in_either_order("semilinear", "decompose", "'qg4.autotopy' not in sys.modules")
